@@ -379,7 +379,7 @@ def _search_labelings(structure: Structure, code: BinaryLinearCode, r: int = 2) 
             class_of[p] = ci
     module_class = [modules[class_of[p]] for p in range(n)]
 
-    wt = ctx.weights()
+    wt = ctx.weights().tolist()  # list indexing is faster than numpy scalars here
     w4 = weight4_codeword_masks(code)
     cw_of_coord: List[List[int]] = [[] for _ in range(n)]
     for t, cw in enumerate(w4):

@@ -40,7 +40,7 @@ def _default_threads() -> int:
         try:
             return max(1, int(env))
         except ValueError:
-            raise formats.FormatError(f"PERFCODE_THREADS={env!r} is not an integer", 1) from None
+            raise ValueError(f"PERFCODE_THREADS={env!r} is not an integer") from None
     return os.cpu_count() or 1
 
 

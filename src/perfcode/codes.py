@@ -1,18 +1,31 @@
 """Binary linear codes, the extended Hamming family, and radius machinery.
 
-Perfectness can be decided two independent ways: full exhaustion (every
-vector lies in exactly one codeword sphere, made fast by a precomputed
-weight table over all masks) and a condition pair equivalent to it for
-linear codes: the sphere at radius r has exactly 2**(n-k) elements, and
-every split of a non-zero codeword into two disjoint parts leaves a part of
-weight at least r+1.  A further restriction of the partition check to
-weight-4 codewords and their even splits is the classification hot path.
+Perfectness is decided two independent ways, which the tests cross-check:
+
+- Exhaustion (is_r_perfect, packing_radius, covering_radius), for lengths
+  up to 16.  The weight table over all 2**n masks gives the ball B_r of
+  masks of weight at most r, and the sphere of radius r around c is
+  c ^ B_r.  Scattering every translate into a per-vector count costs
+  |C|*|B_r| + 2**n rather than |C|*2**n.  No linearity is assumed, so any
+  codeword collection is accepted, such as the images of map_code_collapse.
+- The condition pair (check_perfect_conditions), for linear codes: the
+  radius-r sphere holds exactly 2**(n-k) vectors (the census formula), and
+  no non-zero codeword splits into two disjoint parts of weight at most r.
+  The ball is grown from 0 one coordinate at a time, and a bad split exists
+  exactly when two ball masks lie in one coset (share a syndrome), so the
+  cost follows the sphere size at any length.
+
+The routes share nothing beyond the structure: one reads a table built by
+doubling, the other the census and single-mask weights.  A further
+restriction of the partition check to weight-4 codewords and their even
+splits is the classification hot path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import pairwise
 from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
@@ -228,13 +241,10 @@ class MetricContext:
             return self.wp.weight_of_mask(mask)
         return self.graph.weight_of_mask(mask)
 
-    def weights(self) -> Tuple[int, ...]:
+    def weights(self) -> np.ndarray:
         if self.kind == "wposet":
             return weight_table(self.wp)
         return g_weight_table(self.graph)
-
-    def weights_np(self) -> np.ndarray:
-        return np.asarray(self.weights(), dtype=np.int32)
 
     def sphere_size(self, r: int) -> int:
         """Sphere cardinality at radius r (center-independent)."""
@@ -265,13 +275,16 @@ class PerfectReport:
 
 CodeLike = Union[BinaryLinearCode, Iterable[BitVector]]
 
+# Translates c ^ x scattered per numpy call: chunks of about 2 MB of int64.
+SCATTER_CHUNK = 1 << 18
 
-def _code_masks(code: CodeLike, length: int) -> List[int]:
+
+def _code_masks(code: CodeLike, length: int) -> np.ndarray:
     """Codeword masks of a linear code or of a plain vector collection."""
     if isinstance(code, BinaryLinearCode):
         if code.length != length:
             raise ValueError(f"code length {code.length} != structure dimension {length}")
-        return list(codeword_masks(code))
+        return np.asarray(codeword_masks(code), dtype=np.int64)
     masks = []
     for v in code:
         if v.length != length:
@@ -279,16 +292,21 @@ def _code_masks(code: CodeLike, length: int) -> List[int]:
         masks.append(v.bits)
     if not masks:
         raise ValueError("empty code")
-    return masks
+    return np.asarray(masks, dtype=np.int64)
 
 
-def _sphere_counts(masks: List[int], ctx: MetricContext, r: int) -> np.ndarray:
-    """How many codeword spheres of radius r contain each vector."""
-    wt = ctx.weights_np()
-    xs = np.arange(1 << ctx.length, dtype=np.int64)
-    counts = np.zeros(1 << ctx.length, dtype=np.int32)
-    for c in masks:
-        counts += wt[xs ^ c] <= r
+def _translates(masks: np.ndarray, ball: np.ndarray) -> Iterator[np.ndarray]:
+    """Every c ^ x for c in masks and x in ball, in chunks of whole codewords."""
+    step = max(1, SCATTER_CHUNK // max(1, len(ball)))
+    for i in range(0, len(masks), step):
+        yield (masks[i:i + step, None] ^ ball[None, :]).ravel()
+
+
+def _sphere_counts(masks: np.ndarray, ball: np.ndarray, length: int) -> np.ndarray:
+    """How many of the spheres c ^ ball contain each vector."""
+    counts = np.zeros(1 << length, dtype=np.int64)
+    for chunk in _translates(masks, ball):
+        counts += np.bincount(chunk, minlength=1 << length)
     return counts
 
 
@@ -298,49 +316,112 @@ def _guard_exhaustive(ctx: MetricContext) -> None:
 
 
 def is_r_perfect(code: CodeLike, ctx: MetricContext, r: int) -> bool:
-    """Exhaustive ground truth: every vector in exactly one codeword sphere."""
+    """Exhaustive ground truth: every vector in exactly one codeword sphere.
+
+    The counts sum to |C| times the sphere size, so they can all be 1 only
+    when that product is 2**n.
+    """
     _guard_exhaustive(ctx)
-    return bool((_sphere_counts(_code_masks(code, ctx.length), ctx, r) == 1).all())
+    masks = _code_masks(code, ctx.length)
+    ball = np.flatnonzero(ctx.weights() <= r)
+    if len(masks) * len(ball) != 1 << ctx.length:
+        return False
+    return bool((_sphere_counts(masks, ball, ctx.length) == 1).all())
 
 
 def packing_radius(code: CodeLike, ctx: MetricContext) -> int:
     """Largest r with pairwise disjoint codeword spheres, by exhaustion.
 
-    For a code with fewer than two codewords every radius packs; the total
-    structure weight is returned as a cap in that case.
+    Spheres grow shell by shell (the vectors of weight exactly r).  Once
+    |C| times the sphere size exceeds 2**n some vector lies in two spheres,
+    so the count is skipped.  For a code with fewer than two codewords every
+    radius packs; the total structure weight is returned as a cap then.
     """
     _guard_exhaustive(ctx)
     masks = _code_masks(code, ctx.length)
     cap = ctx.total_weight
     if len(masks) < 2:
         return cap
-    r = 0
-    while r < cap and bool((_sphere_counts(masks, ctx, r + 1) <= 1).all()):
-        r += 1
-    return r
+    wt = ctx.weights()
+    counts = np.zeros(1 << ctx.length, dtype=np.int64)
+    size = 0
+    for r in range(cap + 1):
+        shell = np.flatnonzero(wt == r)
+        size += len(shell)
+        if r and len(masks) * size > 1 << ctx.length:
+            return r - 1
+        counts += _sphere_counts(masks, shell, ctx.length)
+        if r and counts.max() > 1:
+            return r - 1
+    return cap
 
 
 def covering_radius(code: CodeLike, ctx: MetricContext) -> int:
-    """Smallest r with every vector within r of some codeword, by exhaustion."""
+    """Smallest r with every vector within r of some codeword, by exhaustion.
+
+    Translates of the shells of weight 0, 1, ... are marked until they
+    cover the space.
+    """
     _guard_exhaustive(ctx)
-    wt = ctx.weights_np()
-    xs = np.arange(1 << ctx.length, dtype=np.int64)
-    dmin = np.full(1 << ctx.length, np.iinfo(np.int32).max, dtype=np.int32)
-    for c in _code_masks(code, ctx.length):
-        np.minimum(dmin, wt[xs ^ c], out=dmin)
-    return int(dmin.max())
+    masks = _code_masks(code, ctx.length)
+    wt = ctx.weights()
+    covered = np.zeros(1 << ctx.length, dtype=bool)
+    r = -1
+    while not covered.all():
+        r += 1
+        for chunk in _translates(masks, np.flatnonzero(wt == r)):
+            covered[chunk] = True
+    return r
 
 
-def _iter_unordered_splits(mask: int) -> Iterator[Tuple[int, int]]:
-    """All unordered partitions {x, y} of a support mask, including {0, mask}."""
-    sub = mask
-    while True:
-        other = mask ^ sub
-        if sub <= other:
-            yield sub, other
-        if sub == 0:
-            break
-        sub = (sub - 1) & mask
+def _ball(ctx: MetricContext, r: int) -> List[int]:
+    """Every mask of weight at most r, without a table over all masks.
+
+    Weight never drops when the support grows, so each mask of the ball is
+    reached from the mask without its highest coordinate, which is in the
+    ball as well; that makes each mask appear exactly once.
+    """
+    ball = [0] if r >= 0 else []
+    for x in ball:
+        for i in range(x.bit_length(), ctx.length):
+            y = x | (1 << i)
+            if ctx.weight_of_mask(y) <= r:
+                ball.append(y)
+    return ball
+
+
+def _split_witness(code: BinaryLinearCode, ball: List[int]) -> Optional[Tuple[int, int]]:
+    """The earliest codeword, in codeword_masks order, that splits into two
+    parts of the ball, with the largest of its splits' smaller parts.
+
+    Two distinct ball masks in one coset differ by a non-zero codeword c,
+    and dropping their common coordinates leaves a split of c inside the
+    (downward closed) ball; every split of c is such a pair.  Reducing x by
+    the basis in reduced echelon form, each row tagged with its message bits
+    above the code length, yields x's coset leader with no pivot coordinate
+    and the message of x minus that leader.  In one coset the codewords
+    x ^ y have messages m(x) ^ m(y), and the least XOR of two numbers in a
+    set is that of two neighbours in sorted order.
+    """
+    n = code.length
+    rows, pivots = _rref([b | 1 << (n + j) for j, b in enumerate(code.basis)], n)
+    cosets: dict = {}
+    for x in ball:
+        v = x
+        for row, p in zip(rows, pivots):
+            if v >> p & 1:
+                v ^= row
+        cosets.setdefault(v & ((1 << n) - 1), []).append(v >> n)
+    gaps = [a ^ b for msgs in cosets.values() for a, b in pairwise(sorted(msgs))]
+    if not gaps:
+        return None
+    best = min(gaps)
+    c = 0
+    for j, b in enumerate(code.basis):
+        if best >> j & 1:
+            c ^= b
+    inside = set(ball)
+    return c, max(x for x in ball if x & c == x and x < c ^ x and c ^ x in inside)
 
 
 def check_perfect_conditions(code: BinaryLinearCode, ctx: MetricContext, r: int) -> PerfectReport:
@@ -349,31 +430,23 @@ def check_perfect_conditions(code: BinaryLinearCode, ctx: MetricContext, r: int)
     Sphere condition: the radius-r sphere has exactly 2**(n - k) elements.
     Partition condition: every split {x, y} of every non-zero codeword has
     max(w(x), w(y)) >= r + 1.  Together these are equivalent to the code
-    being r-perfect; a failing codeword and split are reported as witness.
+    being r-perfect.  The partition condition is decided on the radius-r
+    ball alone; the earliest failing codeword and its split with the
+    largest smaller part are reported as witness.
     """
     if code.length != ctx.length:
         raise ValueError(f"code length {code.length} != structure dimension {ctx.length}")
     size = ctx.sphere_size(r)
     expected = 1 << (code.length - code.dimension)
+    found = _split_witness(code, _ball(ctx, r))
     witness = None
-    partition_ok = True
-    use_table = ctx.length <= EXHAUSTIVE_LIMIT
-    wt = ctx.weights() if use_table else None
-    weigh = (lambda m: wt[m]) if use_table else ctx.weight_of_mask
-    for c in codeword_masks(code):
-        if c == 0:
-            continue
-        for x, y in _iter_unordered_splits(c):
-            if weigh(x) <= r and weigh(y) <= r:
-                partition_ok = False
-                witness = (
-                    BitVector(code.length, c),
-                    (BitVector(code.length, x), BitVector(code.length, y)),
-                )
-                break
-        if not partition_ok:
-            break
-    return PerfectReport(size, expected, size == expected, partition_ok, witness)
+    if found is not None:
+        c, x = found
+        witness = (
+            BitVector(code.length, c),
+            (BitVector(code.length, x), BitVector(code.length, c ^ x)),
+        )
+    return PerfectReport(size, expected, size == expected, found is None, witness)
 
 
 def check_weight4_partitions(code: BinaryLinearCode, ctx: MetricContext) -> bool:

@@ -12,12 +12,13 @@ condensation generally loses edges of the original digraph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, List, Set, Tuple
+
+import numpy as np
 
 from .bitvec import BitVector, add
 from .poset import Poset
-from .wposet import WeightedPoset, omega_census
+from .wposet import WeightedPoset, closure_weight_table, omega_census
 
 ORACLE_LIMIT = 16
 
@@ -204,16 +205,11 @@ def expand(wp: WeightedPoset) -> Tuple[Digraph, BlockMap]:
     return Digraph.from_edges(n, edges), bm
 
 
-@lru_cache(maxsize=None)
-def g_weight_table(g: Digraph) -> Tuple[int, ...]:
-    """Domination weights of all 2**n masks."""
+def g_weight_table(g: Digraph) -> np.ndarray:
+    """Domination weights of all 2**n masks, indexed by mask."""
     if g.n > ORACLE_LIMIT:
         raise ValueError(f"vertex count {g.n} exceeds oracle guard {ORACLE_LIMIT}")
-    closures = [0] * (1 << g.n)
-    for mask in range(1, 1 << g.n):
-        low = mask & -mask
-        closures[mask] = closures[mask ^ low] | g.reach[low.bit_length() - 1]
-    return tuple(c.bit_count() for c in closures)
+    return closure_weight_table(g.reach, (1,) * g.n)
 
 
 def g_sphere_size_oracle(g: Digraph, x: BitVector, r: int) -> int:
@@ -221,8 +217,7 @@ def g_sphere_size_oracle(g: Digraph, x: BitVector, r: int) -> int:
     if x.length != g.n:
         raise ValueError(f"vector length {x.length} != vertex count {g.n}")
     wt = g_weight_table(g)
-    c = x.bits
-    return sum(1 for y in range(1 << g.n) if wt[y ^ c] <= r)
+    return int(np.count_nonzero(wt[np.arange(1 << g.n) ^ x.bits] <= r))
 
 
 def g_sphere_size_formula(g: Digraph, r: int) -> int:

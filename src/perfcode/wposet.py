@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
+
+import numpy as np
 
 from .bitvec import BitVector, add
 from .poset import Poset
@@ -135,30 +137,33 @@ def sphere_size_formula(wp: WeightedPoset, r: int) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
-def weight_table(wp: WeightedPoset) -> Tuple[int, ...]:
-    """Weights of all 2**size masks; the hot path of exhaustive checks."""
-    m = wp.size
-    if m > ORACLE_LIMIT:
-        raise ValueError(f"poset size {m} exceeds oracle guard {ORACLE_LIMIT}")
-    closures = [0] * (1 << m)
-    sums = [0] * (1 << m)
-    down = wp.poset.down
-    pi = wp.pi
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        i = low.bit_length() - 1
-        closures[mask] = closures[mask ^ low] | down[i]
-        sums[mask] = sums[mask ^ low] + pi[i]
-    return tuple(sums[c] for c in closures)
+def closure_weight_table(generators: Sequence[int], pi: Sequence[int]) -> np.ndarray:
+    """Weight of the closure of every mask over len(generators) coordinates.
+
+    generators[i] is the closure of coordinate i alone, so a mask's closure
+    is the union of its members' generators.  Closures and the sums of pi
+    over every mask are both built by doubling: the masks holding coordinate
+    i are the masks below 2**i with i added.
+    """
+    m = len(generators)
+    closures = np.zeros(1 << m, dtype=np.int64)
+    sums = np.zeros(1 << m, dtype=np.int32)
+    for i, (g, w) in enumerate(zip(generators, pi)):
+        closures[1 << i:2 << i] = closures[:1 << i] | g
+        sums[1 << i:2 << i] = sums[:1 << i] + w
+    return sums[closures]
+
+
+def weight_table(wp: WeightedPoset) -> np.ndarray:
+    """Weights of all 2**size masks, indexed by mask; the exhaustive checks' table."""
+    if wp.size > ORACLE_LIMIT:
+        raise ValueError(f"poset size {wp.size} exceeds oracle guard {ORACLE_LIMIT}")
+    return closure_weight_table(wp.poset.down, wp.pi)
 
 
 def sphere_size_oracle(wp: WeightedPoset, x: BitVector, r: int) -> int:
     """Brute-force sphere cardinality: count every vector within distance r of x."""
     if x.length != wp.size:
         raise ValueError(f"vector length {x.length} != poset size {wp.size}")
-    if wp.size > ORACLE_LIMIT:
-        raise ValueError(f"poset size {wp.size} exceeds oracle guard {ORACLE_LIMIT}")
     wt = weight_table(wp)
-    c = x.bits
-    return sum(1 for y in range(1 << wp.size) if wt[y ^ c] <= r)
+    return int(np.count_nonzero(wt[np.arange(1 << wp.size) ^ x.bits] <= r))

@@ -3,7 +3,9 @@ from math import comb
 
 import pytest
 
+from perfcode import codes
 from perfcode.bitvec import BitVector
+from perfcode.classify import build_family_digraph, build_family_wposet, relabel
 from perfcode.codes import (
     BinaryLinearCode,
     MetricContext,
@@ -22,7 +24,7 @@ from perfcode.codes import (
 from perfcode.poset import Poset
 from perfcode.wposet import WeightedPoset
 
-from conftest import random_wposet
+from conftest import random_digraph, random_wposet
 
 # the sixteen codewords of the length-8 extended Hamming code
 K3_CODEWORDS = {
@@ -233,3 +235,124 @@ def test_code_like_inputs(paired_sinks_digraph):
     assert packing_radius(as_vectors, ctx) == packing_radius(h3, ctx) == 2
     assert covering_radius(as_vectors, ctx) == 2
     assert is_r_perfect(as_vectors, ctx, 2)
+
+
+def _random_linear_code(rng, n):
+    while True:
+        basis = [rng.randrange(1, 1 << n) for _ in range(rng.randint(0, min(n, 5)))]
+        try:
+            return BinaryLinearCode.from_basis(n, basis)
+        except ValueError:
+            continue
+
+
+def _split_witness_by_loop(code, ctx, r):
+    """Reference walk: every codeword in message order, every split of it in
+    descending-subset order; the first split with both parts within r."""
+    for c in codeword_masks(code):
+        if c == 0:
+            continue
+        sub = c
+        while True:
+            other = c ^ sub
+            if sub <= other and ctx.weight_of_mask(sub) <= r and ctx.weight_of_mask(other) <= r:
+                return c, sub, other
+            if sub == 0:
+                break
+            sub = (sub - 1) & c
+    return None
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_exhaustion_and_conditions_agree_with_brute_force(monkeypatch, chunk):
+    if chunk is not None:  # scatter a few codewords per call, so counts add up across chunks
+        monkeypatch.setattr(codes, "SCATTER_CHUNK", chunk)
+    rng = random.Random(211)
+    for trial in range(48):
+        n = rng.randint(1, 8)
+        structure = random_wposet(rng, n) if trial % 2 else random_digraph(rng, n)
+        ctx = ctx_of(structure)
+        linear = _random_linear_code(rng, n)
+        subset = [BitVector(n, m) for m in rng.sample(range(1 << n), rng.randint(1, min(12, 1 << n)))]
+        for code in (linear, subset):
+            masks = list(codeword_masks(code)) if code is linear else [v.bits for v in code]
+            dist = [[ctx.weight_of_mask(y ^ c) for c in masks] for y in range(1 << n)]
+
+            def fits(r, want):
+                return all(want(sum(d <= r for d in row)) for row in dist)
+
+            cap = ctx.total_weight
+            packing = 0
+            if len(masks) < 2:
+                packing = cap
+            while packing < cap and fits(packing + 1, lambda k: k <= 1):
+                packing += 1
+            assert packing_radius(code, ctx) == packing
+            assert covering_radius(code, ctx) == max(min(row) for row in dist)
+            for r in range(5):
+                assert is_r_perfect(code, ctx, r) == fits(r, lambda k: k == 1)
+        for r in range(5):
+            report = check_perfect_conditions(linear, ctx, r)
+            expected = _split_witness_by_loop(linear, ctx, r)
+            assert report.partition_condition == (expected is None)
+            got = None
+            if report.witness is not None:
+                c, (x, y) = report.witness
+                got = (c.bits, x.bits, y.bits)
+            assert got == expected
+            assert report.sphere_size == sum(ctx.weight_of_mask(x) <= r for x in range(1 << n))
+
+
+def test_ball_enumeration_matches_census():
+    rng = random.Random(223)
+    for _ in range(30):
+        wp = random_wposet(rng, rng.randint(1, 10))
+        ctx = MetricContext.for_wposet(wp)
+        for r in range(wp.total_weight + 1):
+            ball = codes._ball(ctx, r)
+            assert len(ball) == len(set(ball)) == ctx.sphere_size(r)
+            assert all(ctx.weight_of_mask(x) <= r for x in ball)
+    for _ in range(30):
+        ctx = MetricContext.for_digraph(random_digraph(rng, rng.randint(1, 12)))
+        ball = codes._ball(ctx, 2)
+        assert len(ball) == len(set(ball)) == ctx.sphere_size(2)
+
+
+def _affine_labeling(rng, k):
+    """Labeling i -> A(i-1) + b + 1 with A invertible: an automorphism of h_k."""
+    n = 1 << k
+    while True:
+        cols = [rng.randrange(1, n) for _ in range(k)]
+        try:
+            BinaryLinearCode.from_basis(k, cols)
+            break
+        except ValueError:
+            continue
+    b = rng.randrange(n)
+    out = []
+    for x in range(n):
+        y = b
+        for j in range(k):
+            if x >> j & 1:
+                y ^= cols[j]
+        out.append(y + 1)
+    return out
+
+
+def test_conditions_decide_h5_relabelings():
+    rng = random.Random(227)
+    h5 = extended_hamming(5)
+    families = [build_family_wposet(5, 1), build_family_wposet(5, 2), build_family_digraph(5)]
+    verdicts = set()
+    for trial in range(18):
+        family = families[trial % 3]
+        if trial % 2:
+            lab = list(range(1, 33))
+            rng.shuffle(lab)
+        else:
+            lab = _affine_labeling(rng, 5)
+        ctx = ctx_of(relabel(family.relabeled(), lab))
+        perfect = check_perfect_conditions(h5, ctx, 2).perfect
+        assert perfect == (ctx.sphere_size(2) == 64 and check_weight4_partitions(h5, ctx))
+        verdicts.add(perfect)
+    assert verdicts == {True, False}

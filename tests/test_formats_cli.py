@@ -243,6 +243,34 @@ def test_cli_threads_env_override(capsys, monkeypatch):
     assert "admitting=4" in out
 
 
+def test_cli_bad_threads_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("PERFCODE_THREADS", "x")
+    code, out, err = run(capsys, "classify", "--k", "3", "--kind", "digraph")
+    assert code == 2
+    assert out == ""
+    assert err == "error: PERFCODE_THREADS='x' is not an integer\n"
+
+
+@pytest.mark.parametrize("kind, variant", [("wposet", "1"), ("wposet", "2"), ("digraph", None)])
+def test_cli_check_h5_family_by_conditions(capsys, tmp_path, kind, variant):
+    prefix = str(tmp_path / "fam5")
+    argv = ["family", "--k", "5", "--kind", kind, "--out", prefix]
+    if variant is not None:
+        argv += ["--variant", variant]
+    assert run(capsys, *argv)[0] == 0
+    check = ["check", "--code", "h5", "--structure", f"{prefix}.{kind}", "--kind", kind, "--radius", "2"]
+    code, out, err = run(capsys, *check, "--method", "conditions")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "method=conditions sphere_size=64 expected_sphere_size=64"
+        " sphere_condition=true partition_condition=true",
+        "2-perfect: true",
+    ]
+    code, out, err = run(capsys, *check, "--method", "exhaustive")
+    assert code == 2
+    assert "exhaustive guard 16" in err
+
+
 def test_cli_tables_run(capsys):
     code, out, _ = run(capsys, "tables", "--which", "2")
     assert code == 0
