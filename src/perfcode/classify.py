@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -86,10 +85,6 @@ def _partitions(total: int, max_parts: int) -> Iterator[Tuple[int, ...]]:
     yield from rec(total, total if total else 1, max_parts)
 
 
-def _distribution(partition: Tuple[int, ...], s: int) -> Tuple[int, ...]:
-    return partition + (0,) * (s - len(partition))
-
-
 def build_wposet_structure(v: StructureVector, distribution: Sequence[int]) -> WeightedPoset:
     """Representative on positions 1..s+a+b: s bottoms, a heavy singletons,
     then tops grouped under their bottoms per the distribution."""
@@ -134,13 +129,19 @@ def enumerate_structures(v: StructureVector, kind: str) -> Iterator[Structure]:
     most 2, so the only freedom is how the two-element-ideal tops distribute
     over the weight-1 anchors, i.e. a partition of b into at most s parts.
     """
+    return (structure for _, structure in _realizations(v, kind))
+
+
+def _realizations(v: StructureVector, kind: str) -> Iterator[Tuple[Tuple[int, ...], Structure]]:
+    """(distribution, representative) for each class realizing the vector."""
     s, a, b = v.as_tuple()
     total = s + 2 * a + b  # total weight and vertex count coincide across kinds
     if total > 16:
         raise ValueError(f"structure scale {total} exceeds desk-scale guard 16")
     build = build_digraph_structure if kind == "digraph" else build_wposet_structure
     for partition in _partitions(b, s):
-        yield build(v, _distribution(partition, s))
+        distribution = partition + (0,) * (s - len(partition))
+        yield distribution, build(v, distribution)
 
 
 # --- canonical forms -------------------------------------------------------
@@ -299,7 +300,7 @@ class LabeledStructure:
     labeling: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = self.structure.size if isinstance(self.structure, WeightedPoset) else self.structure.n
+        n = len(self.structure.generators)
         if sorted(self.labeling) != list(range(1, n + 1)):
             raise ValueError(f"labeling {self.labeling} is not a bijection on 1..{n}")
 
@@ -307,10 +308,7 @@ class LabeledStructure:
         return relabel(self.structure, self.labeling)
 
     def context(self) -> MetricContext:
-        s = self.relabeled()
-        if isinstance(s, WeightedPoset):
-            return MetricContext.for_wposet(s)
-        return MetricContext.for_digraph(s)
+        return MetricContext.of(self.relabeled())
 
 
 def relabel(structure: Structure, labeling: Sequence[int]) -> Structure:
@@ -328,12 +326,6 @@ def relabel(structure: Structure, labeling: Sequence[int]) -> Structure:
         return WeightedPoset(Poset.from_relations(m, relations), tuple(pi))
     edges = [(lab[u - 1], lab[v - 1]) for u, v in structure.edges]
     return Digraph.from_edges(structure.n, edges)
-
-
-def _context_for(structure: Structure) -> MetricContext:
-    if isinstance(structure, WeightedPoset):
-        return MetricContext.for_wposet(structure)
-    return MetricContext.for_digraph(structure)
 
 
 @dataclass(frozen=True)
@@ -361,7 +353,7 @@ def _search_labelings(structure: Structure, code: BinaryLinearCode, r: int = 2) 
     some weight-4 codeword are placed on positions of structure weight 4
     admitting an even split into two halves of weight at most 2.
     """
-    ctx = _context_for(structure)
+    ctx = MetricContext.of(structure)
     n = ctx.length
     if n != code.length:
         raise ValueError(f"structure size {n} != code length {code.length}")
@@ -496,7 +488,7 @@ def _sample_labelings(structure: Structure, canonical: bytes, n: int,
     return sample
 
 
-def _classify_entry(code: BinaryLinearCode, kind: str, v: StructureVector,
+def _classify_entry(code: BinaryLinearCode, v: StructureVector,
                     distribution: Tuple[int, ...], structure: Structure) -> ClassEntry:
     outcome = _search_labelings(structure, code, 2)
     canonical = canonical_form(structure)
@@ -518,25 +510,17 @@ def _classify_entry(code: BinaryLinearCode, kind: str, v: StructureVector,
     )
 
 
-def classify(k: int, kind: str, threads: Optional[int] = None) -> ClassificationReport:
+def classify(k: int, kind: str) -> ClassificationReport:
     """Full sweep at k=3: structure vectors, iso-classes, labeling search."""
     if k != 3:
         raise ValueError(f"exhaustive classification is desk-scale only at k=3, got k={k}")
-    if kind not in ("wposet", "digraph"):
-        raise ValueError(f"unknown kind {kind!r}")
     code = extended_hamming(k)
-    jobs = []
-    for v in solve_structure_vectors(k, kind):
-        for partition in _partitions(v.b, v.s):
-            dist = _distribution(partition, v.s)
-            build = build_digraph_structure if kind == "digraph" else build_wposet_structure
-            jobs.append((v, dist, build(v, dist)))
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            entries = list(pool.map(lambda j: _classify_entry(code, kind, *j), jobs))
-    else:
-        entries = [_classify_entry(code, kind, *job) for job in jobs]
-    return ClassificationReport(k, kind, tuple(entries))
+    entries = tuple(
+        _classify_entry(code, v, distribution, structure)
+        for v in solve_structure_vectors(k, kind)
+        for distribution, structure in _realizations(v, kind)
+    )
+    return ClassificationReport(k, kind, entries)
 
 
 # --- general-k families ----------------------------------------------------
@@ -620,7 +604,7 @@ def build_family_wposet(k: int, variant: int) -> LabeledStructure:
             pi[heavy - 1] = 2
     relations = [(a, t) for t in sorted(anchored)]
     wp = WeightedPoset(Poset.from_relations(n, relations), tuple(pi))
-    _verify_family(code, MetricContext.for_wposet(wp))
+    _verify_family(code, MetricContext.of(wp))
     return LabeledStructure(wp, tuple(range(1, n + 1)))
 
 
@@ -639,5 +623,5 @@ def build_family_digraph(k: int) -> LabeledStructure:
     rest = set(range(1, n + 1)) - {a, ap, b, c, d, cp, dp}
     edges = [(a, ap), (ap, a), (cp, b), (dp, c)] + [(t, d) for t in sorted(rest)]
     g = Digraph.from_edges(n, edges)
-    _verify_family(code, MetricContext.for_digraph(g))
+    _verify_family(code, MetricContext.of(g))
     return LabeledStructure(g, tuple(range(1, n + 1)))

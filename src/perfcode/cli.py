@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 1 when a requested check fails (for example the
 code is not perfect at the given radius), 2 on usage or input-format errors.
-All reports are plain UTF-8 text with a fixed column order, independent of
-the parallelism degree.
+All reports are plain UTF-8 text with a fixed column order.  `classify`
+still accepts `--threads N` and `PERFCODE_THREADS` but runs on one thread,
+so neither changes its output.
 """
 
 from __future__ import annotations
@@ -34,14 +35,13 @@ from .wposet import sphere_size_formula, sphere_size_oracle
 CODE_SHORTHAND = {"h2": 2, "h3": 3, "h4": 4, "h5": 5}
 
 
-def _default_threads() -> int:
+def _check_threads_env() -> None:
     env = os.environ.get("PERFCODE_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            int(env)
         except ValueError:
             raise ValueError(f"PERFCODE_THREADS={env!r} is not an integer") from None
-    return os.cpu_count() or 1
 
 
 def _read(path: str) -> str:
@@ -71,9 +71,8 @@ def _load_code(spec: str) -> BinaryLinearCode:
 
 
 def _load_context(path: str, kind: str) -> MetricContext:
-    if kind == "wposet":
-        return MetricContext.for_wposet(_parse_file(path, formats.parse_wposet))
-    return MetricContext.for_digraph(_parse_file(path, formats.parse_digraph))
+    parse = formats.parse_wposet if kind == "wposet" else formats.parse_digraph
+    return MetricContext.of(_parse_file(path, parse))
 
 
 def _cmd_sphere(args) -> int:
@@ -112,7 +111,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    report = run_classification(args.k, args.kind, threads=args.threads or _default_threads())
+    if not args.threads:
+        _check_threads_env()
+    report = run_classification(args.k, args.kind)
     admitting = report.admitting()
     print(f"kind={report.kind} k={report.k} classes={len(report.entries)} admitting={len(admitting)}")
     for entry in report.entries:

@@ -1,5 +1,8 @@
 """Binary linear codes, the extended Hamming family, and radius machinery.
 
+A MetricContext is the closure metric of a weighted poset or a digraph;
+its weights, table and sphere sizes come from wposet whatever the kind.
+
 Perfectness is decided two independent ways, which the tests cross-check:
 
 - Exhaustion (is_r_perfect, packing_radius, covering_radius), for lengths
@@ -9,21 +12,23 @@ Perfectness is decided two independent ways, which the tests cross-check:
   |C|*|B_r| + 2**n rather than |C|*2**n.  No linearity is assumed, so any
   codeword collection is accepted, such as the images of map_code_collapse.
 - The condition pair (check_perfect_conditions), for linear codes: the
-  radius-r sphere holds exactly 2**(n-k) vectors (the census formula), and
+  radius-r sphere holds exactly 2**(n-k) vectors (the closed-set fold), and
   no non-zero codeword splits into two disjoint parts of weight at most r.
   The ball is grown from 0 one coordinate at a time, and a bad split exists
   exactly when two ball masks lie in one coset (share a syndrome), so the
   cost follows the sphere size at any length.
 
 The routes share nothing beyond the structure: one reads a table built by
-doubling, the other the census and single-mask weights.  A further
+doubling, the other the closed-set fold and single-mask weights.  A further
 restriction of the partition check to weight-4 codewords and their even
-splits is the classification hot path.
+splits is the classification hot path; those codewords, and whether the
+minimum distance is 4, come from a syndrome search costing O(n^3) at any
+dimension.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import pairwise
 from typing import Iterable, Iterator, List, Optional, Tuple, Union
@@ -31,8 +36,8 @@ from typing import Iterable, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from .bitvec import BitVector
-from .digraph import Digraph, g_sphere_size_formula, g_sphere_size_oracle, g_weight_table
-from .wposet import WeightedPoset, sphere_size_formula, weight_table
+from .digraph import Digraph
+from .wposet import Planes, WeightedPoset, closure_weight, sphere_size_formula, weight_planes, weight_table
 
 EXHAUSTIVE_LIMIT = 16
 DIMENSION_LIMIT = 16
@@ -111,7 +116,7 @@ class BinaryLinearCode:
         return [BitVector(self.length, b) for b in self.basis]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def codeword_masks(code: BinaryLinearCode) -> Tuple[int, ...]:
     """All codeword masks, zero first, ascending by message mask."""
     if code.dimension > DIMENSION_LIMIT:
@@ -128,7 +133,6 @@ def codewords(code: BinaryLinearCode) -> Iterator[BitVector]:
         yield BitVector(code.length, mask)
 
 
-@lru_cache(maxsize=None)
 def min_hamming_distance(code: BinaryLinearCode) -> int:
     """Minimum Hamming weight over non-zero codewords (= distance, linearity)."""
     masks = codeword_masks(code)
@@ -145,7 +149,7 @@ def _syndromes(code: BinaryLinearCode) -> List[int]:
     ]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def weight4_codeword_masks(code: BinaryLinearCode) -> Tuple[int, ...]:
     """All Hamming-weight-4 codewords, without enumerating the whole code.
 
@@ -153,8 +157,6 @@ def weight4_codeword_masks(code: BinaryLinearCode) -> Tuple[int, ...]:
     triples through a syndrome table, so the cost is O(n^3) regardless of
     the code's dimension.
     """
-    if code.dimension <= DIMENSION_LIMIT:
-        return tuple(m for m in codeword_masks(code) if m.bit_count() == 4)
     sy = _syndromes(code)
     by_syndrome: dict = {}
     for i, s in enumerate(sy):
@@ -173,9 +175,6 @@ def weight4_codeword_masks(code: BinaryLinearCode) -> Tuple[int, ...]:
 
 def _min_distance_capped(code: BinaryLinearCode) -> Optional[int]:
     """Minimum distance when it is at most 4, else None; dimension-agnostic."""
-    if code.dimension <= DIMENSION_LIMIT:
-        d = min_hamming_distance(code)
-        return d if d <= 4 else None
     sy = _syndromes(code)
     if 0 in sy:
         return 1
@@ -212,50 +211,41 @@ def extended_hamming(k: int) -> BinaryLinearCode:
 
 @dataclass(frozen=True)
 class MetricContext:
-    """A weight function on binary space, from a weighted poset or a digraph."""
+    """A closure metric: generators[i] is the closure of coordinate i alone
+    (a poset down-set or a digraph reach-set), pi[i] its weight."""
 
-    kind: str
-    wp: Optional[WeightedPoset] = None
-    graph: Optional[Digraph] = None
+    generators: Tuple[int, ...]
+    pi: Tuple[int, ...]
+    planes: Planes = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "planes", weight_planes(self.pi))
 
     @classmethod
-    def for_wposet(cls, wp: WeightedPoset) -> "MetricContext":
-        return cls("wposet", wp=wp)
+    def of(cls, structure: Union[WeightedPoset, Digraph]) -> "MetricContext":
+        return cls(structure.generators, structure.pi)
 
-    @classmethod
-    def for_digraph(cls, g: Digraph) -> "MetricContext":
-        return cls("digraph", graph=g)
+    # Kind-named spellings of `of`, for callers that name the kind.
+    for_wposet = of
+    for_digraph = of
 
     @property
     def length(self) -> int:
-        return self.wp.size if self.kind == "wposet" else self.graph.n
+        return len(self.generators)
 
     @property
     def total_weight(self) -> int:
-        if self.kind == "wposet":
-            return self.wp.total_weight
-        return self.graph.n
+        return sum(self.pi)
 
     def weight_of_mask(self, mask: int) -> int:
-        if self.kind == "wposet":
-            return self.wp.weight_of_mask(mask)
-        return self.graph.weight_of_mask(mask)
+        return closure_weight(self.generators, self.planes, mask)
 
     def weights(self) -> np.ndarray:
-        if self.kind == "wposet":
-            return weight_table(self.wp)
-        return g_weight_table(self.graph)
+        return weight_table(self)
 
     def sphere_size(self, r: int) -> int:
         """Sphere cardinality at radius r (center-independent)."""
-        if self.kind == "wposet":
-            return sphere_size_formula(self.wp, r)
-        if r == 2:
-            return g_sphere_size_formula(self.graph, 2)
-        return g_sphere_size_oracle(self.graph, BitVector.zero(self.graph.n), r)
-
-    def max_singleton_weight(self) -> int:
-        return max(self.weight_of_mask(1 << i) for i in range(self.length))
+        return sphere_size_formula(self, r)
 
 
 @dataclass(frozen=True)
@@ -478,4 +468,4 @@ def check_weight4_partitions(code: BinaryLinearCode, ctx: MetricContext) -> bool
 
 def max_singleton_weight(ctx: MetricContext) -> int:
     """Largest structure weight of a single-coordinate vector."""
-    return ctx.max_singleton_weight()
+    return max(ctx.weight_of_mask(1 << i) for i in range(ctx.length))

@@ -1,6 +1,9 @@
 """Simple directed graphs, the domination metric, and the two constructions
 tying digraphs to weighted posets.
 
+The domination metric is the closure metric of the reach-sets with unit
+weights, so the g_* functions name wposet's one implementation for digraphs.
+
 A digraph induces a weighted poset by collapsing strongly connected
 components (component size becomes the element weight); a weighted poset
 induces a digraph by blowing each element up into a directed cycle of its
@@ -17,10 +20,9 @@ from typing import Iterable, List, Set, Tuple
 import numpy as np
 
 from .bitvec import BitVector, add
-from .poset import Poset
-from .wposet import WeightedPoset, closure_weight_table, omega_census
-
-ORACLE_LIMIT = 16
+from .poset import Poset, closure_mask
+from .wposet import (WeightedPoset, closure_weight, sphere_size_formula, sphere_size_oracle,
+                     weight_planes, weight_table)
 
 
 @dataclass(frozen=True)
@@ -57,15 +59,16 @@ class Digraph:
                     changed = True
         return cls(n, ordered, tuple(reach))
 
-    def reach_mask(self, mask: int) -> int:
-        out = 0
-        while mask:
-            out |= self.reach[(mask & -mask).bit_length() - 1]
-            mask &= mask - 1
-        return out
+    @property
+    def generators(self) -> Tuple[int, ...]:
+        return self.reach
+
+    @property
+    def pi(self) -> Tuple[int, ...]:
+        return (1,) * self.n
 
     def weight_of_mask(self, mask: int) -> int:
-        return self.reach_mask(mask).bit_count()
+        return closure_weight(self.reach, weight_planes(self.pi), mask)
 
 
 @dataclass(frozen=True)
@@ -120,7 +123,7 @@ def dominated_closure(g: Digraph, vertices: Iterable[int]) -> Set[int]:
         if not 1 <= v <= g.n:
             raise ValueError(f"vertex {v} out of range 1..{g.n}")
         mask |= 1 << (v - 1)
-    out = g.reach_mask(mask)
+    out = closure_mask(g.reach, mask)
     return {i + 1 for i in range(g.n) if out >> i & 1}
 
 
@@ -165,7 +168,7 @@ def condense(g: Digraph) -> Tuple[WeightedPoset, BlockMap]:
     bm = BlockMap(g.n, len(blocks), blocks)
     relations = []
     for a, mask_a in enumerate(comp_masks):
-        ra = g.reach_mask(mask_a)
+        ra = closure_mask(g.reach, mask_a)
         for b, mask_b in enumerate(comp_masks):
             if a != b and ra & mask_b:
                 relations.append((b + 1, a + 1))
@@ -207,34 +210,14 @@ def expand(wp: WeightedPoset) -> Tuple[Digraph, BlockMap]:
 
 def g_weight_table(g: Digraph) -> np.ndarray:
     """Domination weights of all 2**n masks, indexed by mask."""
-    if g.n > ORACLE_LIMIT:
-        raise ValueError(f"vertex count {g.n} exceeds oracle guard {ORACLE_LIMIT}")
-    return closure_weight_table(g.reach, (1,) * g.n)
+    return weight_table(g)
 
 
 def g_sphere_size_oracle(g: Digraph, x: BitVector, r: int) -> int:
     """Brute-force count of vectors within distance r of x."""
-    if x.length != g.n:
-        raise ValueError(f"vector length {x.length} != vertex count {g.n}")
-    wt = g_weight_table(g)
-    return int(np.count_nonzero(wt[np.arange(1 << g.n) ^ x.bits] <= r))
+    return sphere_size_oracle(g, x, r)
 
 
 def g_sphere_size_formula(g: Digraph, r: int) -> int:
-    """Radius-2 sphere cardinality from the induced weighted poset's census.
-
-    The closed form exists only at radius 2: singleton counts transfer
-    directly, while each weight-2 component of size 2 contributes three
-    vectors at distance exactly 2 instead of one.
-    """
-    if r != 2:
-        raise ValueError(f"closed form available only at radius 2, got {r}")
-    wp, _ = condense(g)
-    census = omega_census(wp, 2)
-    return (
-        1
-        + census.get(1, 1, 1)
-        + 3 * census.get(1, 2, 1)
-        + 2 * census.get(1, 2, 2)
-        + census.get(2, 2, 2)
-    )
+    """Sphere cardinality at radius r from the closed-set fold, at every radius."""
+    return sphere_size_formula(g, r)

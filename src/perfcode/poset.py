@@ -9,9 +9,18 @@ construction and the instance is immutable afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Set, Tuple
+from typing import Iterable, Iterator, Sequence, Set, Tuple
 
 IDEAL_ENUM_LIMIT = 20
+
+
+def closure_mask(generators: Sequence[int], mask: int) -> int:
+    """Union of generators[i] over the coordinates i of the mask."""
+    out = 0
+    while mask:
+        out |= generators[(mask & -mask).bit_length() - 1]
+        mask &= mask - 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -83,13 +92,7 @@ class Poset:
 
     def close_mask(self, mask: int) -> int:
         """Smallest order ideal containing the mask, as a mask."""
-        out = 0
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            out |= self.down[i]
-            m &= m - 1
-        return out
+        return closure_mask(self.down, mask)
 
     def is_ideal_mask(self, mask: int) -> bool:
         return self.close_mask(mask) == mask

@@ -1,25 +1,50 @@
-"""Weighted posets and their metric on binary space.
+"""Weighted posets, and the closure metric they share with digraphs.
 
-The weight of a vector is the sum of element weights over the order-ideal
-closure of its support.  Sphere sizes can be computed two ways: a census of
-order ideals by (maximal-element count, weight, size) folded through the
-counting formula, and a brute-force count over the whole space.  The two are
-cross-checked in the test suite; the census route is the fast path used by
-the classification engine.
+A closure metric is given by `generators`, the closure of each coordinate,
+and `pi`, the coordinate weights: a vector weighs the sum of pi over the
+union of its support's generators.  A weighted poset has the down-sets as
+generators, a digraph its reach-sets and unit weights.  The functions below
+take any object carrying both: a WeightedPoset, a Digraph or a MetricContext.
+
+Sphere sizes come two ways, cross-checked in the test suite: a fold over
+the closed sets of weight at most r, and a brute-force count over the
+weight table of all 2**n vectors.  The closed-set enumeration also yields
+the census of order ideals that drives the classification.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 import numpy as np
 
 from .bitvec import BitVector, add
-from .poset import Poset
+from .poset import Poset, closure_mask
 
 ORACLE_LIMIT = 16
+
+Planes = Tuple[Tuple[int, int], ...]
+
+
+def weight_planes(pi: Sequence[int]) -> Planes:
+    """(b, mask of the coordinates whose pi - 1 has bit b set) for each b, so
+    a pi-sum is a popcount plus shifted popcounts; just one for unit weights."""
+    return tuple((b, sum(1 << i for i, w in enumerate(pi) if (w - 1) >> b & 1))
+                 for b in range((max(pi) - 1).bit_length()))
+
+
+def pi_sum(planes: Planes, mask: int) -> int:
+    """Sum of pi over mask, pi given as weight_planes."""
+    weight = mask.bit_count()
+    for b, plane in planes:
+        weight += (mask & plane).bit_count() << b
+    return weight
+
+
+def closure_weight(generators: Sequence[int], planes: Planes, mask: int) -> int:
+    """Sum of pi over the closure of mask, pi given as weight_planes."""
+    return pi_sum(planes, closure_mask(generators, mask))
 
 
 @dataclass(frozen=True)
@@ -41,6 +66,10 @@ class WeightedPoset:
         return self.poset.size
 
     @property
+    def generators(self) -> Tuple[int, ...]:
+        return self.poset.down
+
+    @property
     def total_weight(self) -> int:
         return sum(self.pi)
 
@@ -49,15 +78,8 @@ class WeightedPoset:
         """The plain poset metric: every element has weight 1."""
         return cls(poset, (1,) * poset.size)
 
-    def pi_sum(self, mask: int) -> int:
-        total = 0
-        while mask:
-            total += self.pi[(mask & -mask).bit_length() - 1]
-            mask &= mask - 1
-        return total
-
     def weight_of_mask(self, mask: int) -> int:
-        return self.pi_sum(self.poset.close_mask(mask))
+        return closure_weight(self.generators, weight_planes(self.pi), mask)
 
 
 @dataclass(frozen=True)
@@ -90,80 +112,91 @@ def wp_distance(wp: WeightedPoset, x: BitVector, y: BitVector) -> int:
     return wp_weight(wp, add(x, y))
 
 
-def omega_census(wp: WeightedPoset, max_weight: int) -> OmegaCensus:
-    """Count every order ideal of weight <= max_weight by (j, weight, size).
+def _closed_sets(s, max_weight: int) -> Iterator[Tuple[int, int, int]]:
+    """(S, weight, maximal coordinates of S) for every non-empty closed set S
+    of weight at most max_weight.
 
-    Ideals are grown one element at a time (an ideal stays an ideal when a
-    new element brings its whole strict down-set along), so the cost scales
-    with the number of small ideals, not with 2**size.  Weight bounds size
-    since every element weighs at least 1.
+    A union of closed sets is closed and weight grows with the set, so S is
+    reached by adding one generator at a time within the bound.  Coordinates
+    with equal generators form a component (a strong component, for a
+    digraph); a coordinate of S is maximal unless a generator added to S
+    holds it outside that generator's own component.
     """
-    counts: Dict[Tuple[int, int, int], int] = {}
-    p = wp.poset
-    strict_down = [p.down[i] & ~(1 << i) for i in range(p.size)]
+    generators = s.generators
+    planes = weight_planes(s.pi)
+    component: Dict[int, int] = {}
+    for u, g in enumerate(generators):
+        component[g] = component.get(g, 0) | 1 << u
     seen = {0}
-    frontier = [0]
+    frontier = [(0, 0, 0)]
     while frontier:
-        mask = frontier.pop()
-        if mask:
-            key = (p.maximal_mask(mask).bit_count(), wp.pi_sum(mask), mask.bit_count())
-            counts[key] = counts.get(key, 0) + 1
-        for i in range(p.size):
-            if mask >> i & 1 or (strict_down[i] & ~mask):
+        closed, weight, below = frontier.pop()
+        for g in generators:
+            grown = closed | g
+            if grown in seen:
                 continue
-            grown = mask | (1 << i)
-            if grown not in seen and wp.pi_sum(grown) <= max_weight:
-                seen.add(grown)
-                frontier.append(grown)
+            grown_weight = weight + pi_sum(planes, g & ~closed)
+            if grown_weight > max_weight:
+                continue
+            seen.add(grown)
+            grown_below = below | g & ~component[g]
+            frontier.append((grown, grown_weight, grown_below))
+            yield grown, grown_weight, grown & ~grown_below
+
+
+def omega_census(wp: WeightedPoset, max_weight: int) -> OmegaCensus:
+    """Count every order ideal (closed set) of weight <= max_weight by
+    (j, weight, size); the cost follows the number of small ideals."""
+    counts: Dict[Tuple[int, int, int], int] = {}
+    for ideal, weight, tops in _closed_sets(wp, max_weight):
+        key = (tops.bit_count(), weight, ideal.bit_count())
+        counts[key] = counts.get(key, 0) + 1
     return OmegaCensus(tuple(sorted(counts.items())), max_weight)
 
 
-@lru_cache(maxsize=None)
-def sphere_size_formula(wp: WeightedPoset, r: int) -> int:
-    """Sphere cardinality at radius r, folded from the ideal census.
+def sphere_size_formula(s, r: int) -> int:
+    """Sphere cardinality at radius r (any center), folded over the closed sets.
 
-    Independent of the sphere's center by translation invariance of the
-    metric.  Each ideal of size i with j maximal elements is the closure of
-    exactly 2**(i-j) supports, hence the fold.
+    A support has closure S exactly when it lies in S and meets each maximal
+    component C of S (one element, for a poset), so S is the closure of
+    2**(|S| - sum |C|) times the product of (2**|C| - 1) supports.
     """
     if r < 0:
         raise ValueError(f"radius must be non-negative, got {r}")
-    census = omega_census(wp, r)
+    generators = s.generators
     total = 1
-    for w in range(1, r + 1):
-        for i in range(1, w + 1):
-            for j in range(1, i + 1):
-                total += (1 << (i - j)) * census.get(j, w, i)
+    for closed, _, tops in _closed_sets(s, r):
+        count = 1 << (closed.bit_count() - tops.bit_count())
+        while tops:
+            v = (tops & -tops).bit_length() - 1
+            component = generators[v] & tops
+            count *= (1 << component.bit_count()) - 1
+            tops &= ~component
+        total += count
     return total
 
 
-def closure_weight_table(generators: Sequence[int], pi: Sequence[int]) -> np.ndarray:
-    """Weight of the closure of every mask over len(generators) coordinates.
+def weight_table(s) -> np.ndarray:
+    """Weights of all 2**n masks, indexed by mask; the exhaustive checks' table.
 
-    generators[i] is the closure of coordinate i alone, so a mask's closure
-    is the union of its members' generators.  Closures and the sums of pi
-    over every mask are both built by doubling: the masks holding coordinate
-    i are the masks below 2**i with i added.
+    Closures and the sums of pi over every mask are both built by doubling:
+    the masks holding coordinate i are the masks below 2**i with i added.
     """
-    m = len(generators)
-    closures = np.zeros(1 << m, dtype=np.int64)
-    sums = np.zeros(1 << m, dtype=np.int32)
-    for i, (g, w) in enumerate(zip(generators, pi)):
+    n = len(s.generators)
+    if n > ORACLE_LIMIT:
+        raise ValueError(f"length {n} exceeds oracle guard {ORACLE_LIMIT}")
+    closures = np.zeros(1 << n, dtype=np.int64)
+    sums = np.zeros(1 << n, dtype=np.int32)
+    for i, (g, w) in enumerate(zip(s.generators, s.pi)):
         closures[1 << i:2 << i] = closures[:1 << i] | g
         sums[1 << i:2 << i] = sums[:1 << i] + w
     return sums[closures]
 
 
-def weight_table(wp: WeightedPoset) -> np.ndarray:
-    """Weights of all 2**size masks, indexed by mask; the exhaustive checks' table."""
-    if wp.size > ORACLE_LIMIT:
-        raise ValueError(f"poset size {wp.size} exceeds oracle guard {ORACLE_LIMIT}")
-    return closure_weight_table(wp.poset.down, wp.pi)
-
-
-def sphere_size_oracle(wp: WeightedPoset, x: BitVector, r: int) -> int:
+def sphere_size_oracle(s, x: BitVector, r: int) -> int:
     """Brute-force sphere cardinality: count every vector within distance r of x."""
-    if x.length != wp.size:
-        raise ValueError(f"vector length {x.length} != poset size {wp.size}")
-    wt = weight_table(wp)
-    return int(np.count_nonzero(wt[np.arange(1 << wp.size) ^ x.bits] <= r))
+    n = len(s.generators)
+    if x.length != n:
+        raise ValueError(f"vector length {x.length} != structure length {n}")
+    wt = weight_table(s)
+    return int(np.count_nonzero(wt[np.arange(1 << n) ^ x.bits] <= r))

@@ -217,14 +217,6 @@ def test_classify_rejects_other_k():
         classify(4, "wposet")
 
 
-def test_classify_threaded_matches_serial():
-    serial = classify(3, "digraph")
-    threaded = classify(3, "digraph", threads=4)
-    assert [(e.vector, e.distribution, e.admits, e.witness) for e in serial.entries] == [
-        (e.vector, e.distribution, e.admits, e.witness) for e in threaded.entries
-    ]
-
-
 def test_family_wposet_k3_variant1_layout(anchor_star_wposet):
     fam = build_family_wposet(3, 1)
     assert fam.labeling == tuple(range(1, 9))

@@ -114,9 +114,29 @@ def test_weight4_codeword_count_matches_combinatorics():
 
 
 def test_weight4_syndrome_route_agrees_with_enumeration():
-    h4 = extended_hamming(4)
-    from_enumeration = {m for m in codeword_masks(h4) if m.bit_count() == 4}
-    assert set(weight4_codeword_masks(h4)) == from_enumeration
+    for k in (3, 4):
+        code = extended_hamming(k)
+        from_enumeration = {m for m in codeword_masks(code) if m.bit_count() == 4}
+        assert set(weight4_codeword_masks(code)) == from_enumeration
+
+
+def test_syndrome_routes_agree_with_enumeration_on_random_codes():
+    rng = random.Random(229)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(2, 14)
+        dim = rng.randint(1, min(n - 1, 10))
+        try:
+            code = BinaryLinearCode.from_basis(n, [rng.randrange(1, 1 << n) for _ in range(dim)])
+        except ValueError:
+            continue
+        d = min_hamming_distance(code)
+        capped = codes._min_distance_capped(code)
+        assert capped == (d if d <= 4 else None)
+        seen.add(capped)
+        from_enumeration = {m for m in codeword_masks(code) if m.bit_count() == 4}
+        assert set(weight4_codeword_masks(code)) == from_enumeration
+    assert seen == {1, 2, 3, 4, None}
 
 
 def test_weight4_syndrome_route_at_k5():
@@ -314,8 +334,9 @@ def test_ball_enumeration_matches_census():
             assert all(ctx.weight_of_mask(x) <= r for x in ball)
     for _ in range(30):
         ctx = MetricContext.for_digraph(random_digraph(rng, rng.randint(1, 12)))
-        ball = codes._ball(ctx, 2)
-        assert len(ball) == len(set(ball)) == ctx.sphere_size(2)
+        for r in range(ctx.total_weight + 1):
+            ball = codes._ball(ctx, r)
+            assert len(ball) == len(set(ball)) == ctx.sphere_size(r)
 
 
 def _affine_labeling(rng, k):

@@ -178,9 +178,15 @@ def test_sphere_formula_matches_oracle_on_randoms():
         )
 
 
-def test_sphere_formula_only_radius_two(paired_sinks_digraph):
+def test_sphere_formula_matches_oracle_at_every_radius():
+    rng = random.Random(43)
+    for _ in range(60):
+        g = random_digraph(rng, rng.randint(1, 10))
+        x = BitVector(g.n, rng.randrange(1 << g.n))
+        for r in range(g.n + 1):
+            assert g_sphere_size_formula(g, r) == g_sphere_size_oracle(g, x, r)
     with pytest.raises(ValueError):
-        g_sphere_size_formula(paired_sinks_digraph, 3)
+        g_sphere_size_formula(g, -1)
 
 
 def test_metric_axioms_on_random_digraphs():

@@ -271,6 +271,30 @@ def test_cli_check_h5_family_by_conditions(capsys, tmp_path, kind, variant):
     assert "exhaustive guard 16" in err
 
 
+def test_cli_check_h5_digraph_family_at_radius_three(capsys, tmp_path):
+    prefix = str(tmp_path / "fam5")
+    assert run(capsys, "family", "--k", "5", "--kind", "digraph", "--out", prefix)[0] == 0
+    code, out, err = run(capsys, "check", "--code", "h5", "--structure", f"{prefix}.digraph",
+                         "--kind", "digraph", "--radius", "3", "--method", "conditions")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[0] == ("method=conditions sphere_size=782 expected_sphere_size=64"
+                        " sphere_condition=false partition_condition=false")
+    assert lines[-1] == "3-perfect: false"
+
+
+@pytest.mark.parametrize("kind, variant", [("wposet", "1"), ("digraph", None)])
+def test_cli_check_negative_radius_is_usage_error(capsys, tmp_path, kind, variant):
+    prefix = str(tmp_path / "fam3")
+    argv = ["family", "--k", "3", "--kind", kind, "--out", prefix]
+    if variant is not None:
+        argv += ["--variant", variant]
+    assert run(capsys, *argv)[0] == 0
+    code, out, err = run(capsys, "check", "--code", "h3", "--structure", f"{prefix}.{kind}",
+                         "--kind", kind, "--radius", "-1")
+    assert (code, out, err) == (2, "", "error: radius must be non-negative, got -1\n")
+
+
 def test_cli_tables_run(capsys):
     code, out, _ = run(capsys, "tables", "--which", "2")
     assert code == 0
