@@ -7,6 +7,10 @@ coordinate labelings modulo structure automorphisms with early rejection of
 partial assignments that already violate an even split of a weight-4
 codeword.  Negative answers report the exact number of labelings covered, so
 the exhaustion is auditable.
+
+Canonical forms and automorphism group orders come from one
+individualization-refinement search, `_canonical_search`; the labeling
+search takes its interchangeable classes from the same root refinement.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .codes import (
@@ -146,8 +149,8 @@ def _realizations(v: StructureVector, kind: str) -> Iterator[Tuple[Tuple[int, ..
 
 # --- canonical forms -------------------------------------------------------
 
-def _structure_matrix(structure: Structure) -> Tuple[List[int], List[int]]:
-    """Relation rows (self excluded) and per-element color seeds."""
+def _structure_matrix(structure: Structure) -> Tuple[List[int], List[int], List[int]]:
+    """Relation rows (self excluded), their transpose, and per-element colors."""
     if isinstance(structure, WeightedPoset):
         rows = [structure.poset.down[i] & ~(1 << i) for i in range(structure.size)]
         colors = list(structure.pi)
@@ -156,31 +159,11 @@ def _structure_matrix(structure: Structure) -> Tuple[List[int], List[int]]:
         for u, v in structure.edges:
             rows[u - 1] |= 1 << (v - 1)
         colors = [0] * structure.n
-    return rows, colors
-
-
-def _refine_classes(rows: List[int], colors: List[int]) -> List[int]:
-    """Stable 1-dimensional refinement; returns label-invariant color ints."""
-    m = len(rows)
-    cols = [0] * m
-    for i in range(m):
-        r = rows[i]
-        while r:
-            j = (r & -r).bit_length() - 1
+    cols = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j in _bits(row):
             cols[j] |= 1 << i
-            r &= r - 1
-    cur = list(colors)
-    while True:
-        sigs = []
-        for i in range(m):
-            out_sig = tuple(sorted(cur[j] for j in _bits(rows[i])))
-            in_sig = tuple(sorted(cur[j] for j in _bits(cols[i])))
-            sigs.append((cur[i], out_sig, in_sig))
-        order = {sig: rank for rank, sig in enumerate(sorted(set(sigs)))}
-        nxt = [order[sig] for sig in sigs]
-        if nxt == cur:
-            return cur
-        cur = nxt
+    return rows, cols, colors
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -189,55 +172,70 @@ def _bits(mask: int) -> Iterator[int]:
         mask &= mask - 1
 
 
-def _swap_bits(mask: int, p: int, q: int) -> int:
-    bp = mask >> p & 1
-    bq = mask >> q & 1
-    if bp != bq:
-        mask ^= (1 << p) | (1 << q)
-    return mask
+def _equitable(rows: List[int], cols: List[int], cells: List[List[int]],
+               splitters: List[int]) -> List[List[int]]:
+    """Refine an ordered partition until it is equitable.
+
+    Each splitter mask splits every cell by its members' out- and
+    in-neighbour counts into the mask; the pieces take the cell's place,
+    ordered by those counts, and become splitters in turn.  So the result
+    depends on the structure and the input, not on the labels.  The caller
+    passes every cell the partition may not yet be equitable against: all
+    of them at the root, the individualized element below it.
+    """
+    queue = list(splitters)
+    for splitter in queue:  # also visits the pieces appended below
+        refined: List[List[int]] = []
+        for cell in cells:
+            groups: Dict[Tuple[int, int], List[int]] = {}
+            if len(cell) > 1:
+                for v in cell:
+                    key = ((rows[v] & splitter).bit_count(), (cols[v] & splitter).bit_count())
+                    groups.setdefault(key, []).append(v)
+            if len(groups) > 1:
+                pieces = [groups[key] for key in sorted(groups)]
+                refined += pieces
+                queue += [_mask(piece) for piece in pieces]
+            else:
+                refined.append(cell)
+        cells = refined
+    return cells
 
 
-def _transposition_is_automorphism(rows: List[int], p: int, q: int) -> bool:
-    if _swap_bits(rows[q], p, q) != rows[p] or _swap_bits(rows[p], p, q) != rows[q]:
-        return False
-    for i, row in enumerate(rows):
-        if i in (p, q):
-            continue
-        if _swap_bits(row, p, q) != row:
-            return False
-    return True
+def _mask(members: List[int]) -> int:
+    return sum(1 << v for v in members)
 
 
-def _classes_and_modules(rows: List[int], colors: List[int]) -> Tuple[List[List[int]], List[bool]]:
-    refined = _refine_classes(rows, colors)
+def _root_cells(rows: List[int], cols: List[int],
+                colors: List[int]) -> Tuple[List[List[int]], List[int]]:
+    """Equitable refinement of the color partition, and for each element the
+    mask of its twins: the elements whose transposition with it is an
+    automorphism of the relation.
+
+    Colors are left out of the twin masks, which are read only inside a cell.
+    Twinhood is transitive, since (p r) = (p q)(q r)(p q), so a cell is a set
+    of pairwise twins exactly when its first member's mask covers it.
+    """
     by_color: Dict[int, List[int]] = {}
-    for i, c in enumerate(refined):
+    for i, c in enumerate(colors):
         by_color.setdefault(c, []).append(i)
-    classes = [by_color[c] for c in sorted(by_color)]
-    modules = []
-    for members in classes:
-        ok = all(
-            _transposition_is_automorphism(rows, members[i], members[j])
-            for i in range(len(members))
-            for j in range(i + 1, len(members))
-        )
-        modules.append(ok)
-    return classes, modules
+    cells = [by_color[c] for c in sorted(by_color)]
+    twins = []
+    for p in range(len(rows)):
+        twins.append(_mask([q for q in range(len(rows)) if _are_twins(rows, cols, p, q)]))
+    return _equitable(rows, cols, cells, [_mask(cell) for cell in cells]), twins
 
 
-def _class_orders(classes: List[List[int]], modules: List[bool]) -> Iterator[Tuple[int, ...]]:
-    """Candidate element orders: canonical class order, modules pinned ascending."""
-    def rec(idx: int) -> Iterator[Tuple[int, ...]]:
-        if idx == len(classes):
-            yield ()
-            return
-        members = classes[idx]
-        pool = [tuple(members)] if modules[idx] else permutations(members)
-        for head in pool:
-            for tail in rec(idx + 1):
-                yield head + tail
+def _are_twins(rows: List[int], cols: List[int], p: int, q: int) -> bool:
+    """(p q) keeps every arc: p and q have the same arcs to and from the
+    other elements, and the arc p -> q exactly when q -> p."""
+    others = ~(1 << p | 1 << q)
+    return (not (rows[p] ^ rows[q]) & others and not (cols[p] ^ cols[q]) & others
+            and rows[p] >> q & 1 == rows[q] >> p & 1)
 
-    yield from rec(0)
+
+def _is_twin_cell(cell: List[int], twins: List[int]) -> bool:
+    return all(twins[cell[0]] >> v & 1 for v in cell)
 
 
 def _encode(rows: List[int], colors: List[int], order: Tuple[int, ...]) -> Tuple:
@@ -251,43 +249,54 @@ def _encode(rows: List[int], colors: List[int], order: Tuple[int, ...]) -> Tuple
     return (tuple(colors[old] for old in order), tuple(new_rows))
 
 
+def _canonical_search(structure: Structure) -> Tuple[Tuple, int]:
+    """Least leaf certificate and |Aut| by individualization-refinement.
+
+    Each node individualizes a member of the first non-singleton cell of an
+    equitable partition and refines again (McKay and Piperno, "Practical
+    graph isomorphism II", J. Symb. Comput. 60, 2014).  A cell of pairwise
+    twins is entered through its first member only, with the leaf weight
+    multiplied by its size: a transposition inside it fixes the path so far
+    and maps each sibling's subtree onto the first one's, certificates
+    included.  The leaves whose certificate equals the first leaf's form
+    one orbit of Aut, which acts on them freely, so their weighted count
+    is |Aut|.
+    """
+    rows, cols, colors = _structure_matrix(structure)
+    cells, twins = _root_cells(rows, cols, colors)
+    leaves: List[Tuple[Tuple, int]] = []  # (certificate, weight) in search order
+
+    def visit(cells: List[List[int]], weight: int) -> None:
+        target = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
+        if target is None:
+            leaves.append((_encode(rows, colors, tuple(cell[0] for cell in cells)), weight))
+            return
+        cell = cells[target]
+        if _is_twin_cell(cell, twins):
+            branches, weight = cell[:1], weight * len(cell)
+        else:
+            branches = cell
+        for v in branches:
+            split = cells[:target] + [[v], [u for u in cell if u != v]] + cells[target + 1:]
+            visit(_equitable(rows, cols, split, [1 << v]), weight)
+
+    visit(cells, 1)
+    first = leaves[0][0]
+    return min(cert for cert, _ in leaves), sum(w for cert, w in leaves if cert == first)
+
+
 def canonical_form(structure: Structure) -> bytes:
-    """Minimum relabeling-invariant encoding; equal iff isomorphic."""
-    rows, colors = _structure_matrix(structure)
-    if len(rows) > CANONICAL_SIZE_LIMIT:
-        raise ValueError(f"size {len(rows)} exceeds canonical-form guard {CANONICAL_SIZE_LIMIT}")
-    classes, modules = _classes_and_modules(rows, colors)
+    """Least leaf certificate of the refinement search; equal iff isomorphic."""
+    n = len(structure.generators)
+    if n > CANONICAL_SIZE_LIMIT:
+        raise ValueError(f"size {n} exceeds canonical-form guard {CANONICAL_SIZE_LIMIT}")
     kind = "W" if isinstance(structure, WeightedPoset) else "G"
-    best = min(_encode(rows, colors, order) for order in _class_orders(classes, modules))
-    return repr((kind, len(rows), best)).encode()
+    return repr((kind, n, _canonical_search(structure)[0])).encode()
 
 
 def automorphism_count(structure: Structure) -> int:
     """Order of the automorphism group (weight/edge preserving relabelings)."""
-    rows, colors = _structure_matrix(structure)
-    classes, modules = _classes_and_modules(rows, colors)
-    factor = 1
-    for members, is_module in zip(classes, modules):
-        if is_module:
-            factor *= math.factorial(len(members))
-    identity = tuple(i for members in classes for i in members)
-    base = _encode(rows, colors, identity)
-    if all(modules):
-        return factor
-
-    def rec(idx: int, prefix: Tuple[int, ...]) -> int:
-        if idx == len(classes):
-            return 1 if _encode(rows, colors, prefix) == base else 0
-        members = classes[idx]
-        if modules[idx]:
-            return rec(idx + 1, prefix + tuple(members))
-        total = 0
-        for perm in permutations(members):
-            total += rec(idx + 1, prefix + perm)
-        return total
-
-    count = rec(0, ())
-    return factor * count
+    return _canonical_search(structure)[1]
 
 
 # --- labelings -------------------------------------------------------------
@@ -363,13 +372,12 @@ def _search_labelings(structure: Structure, code: BinaryLinearCode, r: int = 2) 
     if ctx.sphere_size(r) != 1 << (code.length - code.dimension):
         return SearchOutcome(None, total, 0)
 
-    rows, colors = _structure_matrix(structure)
-    classes, modules = _classes_and_modules(rows, colors)
+    classes, twins = _root_cells(*_structure_matrix(structure))
     class_of = [0] * n
     for ci, members in enumerate(classes):
         for p in members:
             class_of[p] = ci
-    module_class = [modules[class_of[p]] for p in range(n)]
+    module_class = [_is_twin_cell(classes[class_of[p]], twins) for p in range(n)]
 
     wt = ctx.weights().tolist()  # list indexing is faster than numpy scalars here
     w4 = weight4_codeword_masks(code)

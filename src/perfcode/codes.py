@@ -311,6 +311,8 @@ def is_r_perfect(code: CodeLike, ctx: MetricContext, r: int) -> bool:
     The counts sum to |C| times the sphere size, so they can all be 1 only
     when that product is 2**n.
     """
+    if r < 0:
+        raise ValueError(f"radius must be non-negative, got {r}")
     _guard_exhaustive(ctx)
     masks = _code_masks(code, ctx.length)
     ball = np.flatnonzero(ctx.weights() <= r)

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -25,6 +26,7 @@ from perfcode.codes import (
 from perfcode.digraph import Digraph
 from perfcode.wposet import omega_census
 
+from conftest import random_digraph, random_wposet
 
 
 def vectors(k, kind):
@@ -97,6 +99,125 @@ def test_canonical_form_is_relabeling_invariant():
                     lab = list(range(1, n + 1))
                     rng.shuffle(lab)
                     assert canonical_form(relabel(s, lab)) == base
+
+
+def _colors_and_arcs(s):
+    """Element colors and directed arcs read off the structure: weights and the
+    strict order (j below i) of a weighted poset, or the edges of a digraph."""
+    if isinstance(s, Digraph):
+        return (0,) * s.n, {(u - 1, v - 1) for u, v in s.edges}
+    n = s.size
+    return s.pi, {(j, i) for i in range(n) for j in range(n) if j != i and s.poset.down[i] >> j & 1}
+
+
+def _brute_force(s):
+    """|Aut| and the least image over all n! relabelings of the structure."""
+    colors, arcs = _colors_and_arcs(s)
+    n = len(colors)
+    own = (tuple(colors), tuple(sorted(arcs)))
+    count, least = 0, None
+    for p in permutations(range(n)):
+        moved = [0] * n
+        for i in range(n):
+            moved[p[i]] = colors[i]
+        image = (tuple(moved), tuple(sorted((p[u], p[v]) for u, v in arcs)))
+        count += image == own
+        least = image if least is None or image < least else least
+    return count, least
+
+
+def _random_structure(rng, kind, n):
+    if kind == "wposet":
+        return random_wposet(rng, n, max_pi=rng.choice((1, 2, 3)))
+    return random_digraph(rng, n, density=rng.choice((0.15, 0.3, 0.5)))
+
+
+def _cycles(*lengths, both_ways=False):
+    """Disjoint directed cycles of the given lengths (each edge both ways if asked)."""
+    edges, start = [], 1
+    for length in lengths:
+        for i in range(length):
+            u, v = start + i, start + (i + 1) % length
+            edges += [(u, v), (v, u)] if both_ways else [(u, v)]
+        start += length
+    return Digraph.from_edges(start - 1, edges)
+
+
+def _shuffled(rng, n):
+    lab = list(range(1, n + 1))
+    rng.shuffle(lab)
+    return lab
+
+
+def test_canonical_search_matches_brute_force():
+    # regular digraphs on which refinement alone leaves non-isomorphic leaves:
+    # the first leaf is not always the least, nor every leaf an automorphism
+    regular = [_cycles(3, 4), _cycles(3, 4, both_ways=True), _cycles(6, both_ways=True),
+               _cycles(3, 3, both_ways=True), _cycles(7), _cycles(2, 2, 3)]
+    rng = random.Random(505)
+    forms_of = {}
+    randoms = [_random_structure(rng, ("wposet", "digraph")[t % 2], rng.randint(1, 7))
+               for t in range(120)]
+    for s in regular + randoms:
+        aut, least = _brute_force(s)
+        form = canonical_form(s)
+        assert automorphism_count(s) == aut
+        n = len(s.generators)
+        for _ in range(3):
+            moved = relabel(s, _shuffled(rng, n))
+            assert canonical_form(moved) == form
+            assert automorphism_count(moved) == aut
+        forms_of.setdefault((type(s), least), set()).add(form)
+    # forms are equal exactly when the brute force finds the structures isomorphic
+    assert all(len(forms) == 1 for forms in forms_of.values())
+    assert len(set().union(*forms_of.values())) == len(forms_of)
+
+
+def test_canonical_form_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+
+    def graph(s):
+        colors, arcs = _colors_and_arcs(s)
+        g = nx.DiGraph()
+        g.add_nodes_from((i, {"pi": c}) for i, c in enumerate(colors))
+        g.add_edges_from(arcs)
+        return g
+
+    rng = random.Random(606)
+    isomorphic = 0
+    trials = 400
+    for t in range(trials):
+        kind, n = ("wposet", "digraph")[t % 2], rng.randint(1, 6)
+        a = _random_structure(rng, kind, n)
+        if rng.random() < 0.25:
+            b = relabel(a, _shuffled(rng, n))
+        else:
+            b = _random_structure(rng, kind, n)
+        iso = nx.is_isomorphic(graph(a), graph(b), node_match=lambda x, y: x["pi"] == y["pi"])
+        assert (canonical_form(a) == canonical_form(b)) == iso
+        isomorphic += iso
+    assert 0 < isomorphic < trials
+
+
+def test_canonical_search_beyond_brute_force():
+    # the (4,4) split star: 2 * 4! * 4!; four disjoint directed 3-cycles
+    # (n = 12, no twins): 4! * 3**4; three disjoint directed 4-cycles: 3! * 4**3;
+    # a 2-cycle and a 3-cycle, each vertex with its own sink: 2 * 3 (the sinks
+    # share one equitable cell but are not twins)
+    star = build_wposet_structure(StructureVector(2, 0, 8), (4, 4))
+    cycles = _cycles(3, 3, 3, 3)
+    squares = _cycles(4, 4, 4)
+    pendants = Digraph.from_edges(10, _cycles(2, 3).edges + tuple((i, i + 5) for i in range(1, 6)))
+    rng = random.Random(707)
+    for s, aut, trials in ((star, 1152, 200), (cycles, 1944, 5), (squares, 384, 5),
+                           (pendants, 6, 20)):
+        base = canonical_form(s)
+        assert automorphism_count(s) == aut
+        for _ in range(trials):
+            moved = relabel(s, _shuffled(rng, len(s.generators)))
+            assert canonical_form(moved) == base
+            assert automorphism_count(moved) == aut
+    assert canonical_form(cycles) != canonical_form(squares)
 
 
 def test_canonical_form_separates_shapes():

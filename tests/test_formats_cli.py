@@ -283,15 +283,23 @@ def test_cli_check_h5_digraph_family_at_radius_three(capsys, tmp_path):
     assert lines[-1] == "3-perfect: false"
 
 
-@pytest.mark.parametrize("kind, variant", [("wposet", "1"), ("digraph", None)])
-def test_cli_check_negative_radius_is_usage_error(capsys, tmp_path, kind, variant):
+@pytest.mark.parametrize("kind, variant, method", [
+    pytest.param("wposet", "1", None, id="wposet-1"),
+    pytest.param("digraph", None, None, id="digraph-None"),
+    *((kind, variant, method) for method in ("conditions", "exhaustive", "both")
+      for kind, variant in (("wposet", "1"), ("digraph", None))),
+])
+def test_cli_check_negative_radius_is_usage_error(capsys, tmp_path, kind, variant, method):
     prefix = str(tmp_path / "fam3")
     argv = ["family", "--k", "3", "--kind", kind, "--out", prefix]
     if variant is not None:
         argv += ["--variant", variant]
     assert run(capsys, *argv)[0] == 0
-    code, out, err = run(capsys, "check", "--code", "h3", "--structure", f"{prefix}.{kind}",
-                         "--kind", kind, "--radius", "-1")
+    check = ["check", "--code", "h3", "--structure", f"{prefix}.{kind}", "--kind", kind,
+             "--radius", "-1"]
+    if method is not None:
+        check += ["--method", method]
+    code, out, err = run(capsys, *check)
     assert (code, out, err) == (2, "", "error: radius must be non-negative, got -1\n")
 
 
