@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from perfcode import cli, formats
@@ -5,6 +7,9 @@ from perfcode.codes import codeword_masks, extended_hamming
 from perfcode.digraph import Digraph
 from perfcode.poset import Poset
 from perfcode.wposet import WeightedPoset
+
+# Full `classify --k 3` stdout for each kind, byte for byte.
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -227,6 +232,12 @@ def test_cli_classify_output_and_witness_files(capsys, tmp_path):
     for path in files:
         g = formats.parse_digraph(path.read_text(encoding="utf-8"))
         assert isinstance(g, Digraph)
+
+
+@pytest.mark.parametrize("kind", ["wposet", "digraph"])
+def test_cli_classify_matches_golden_stdout(capsys, kind):
+    golden = (GOLDEN / f"classify_k3_{kind}.txt").read_text(encoding="utf-8")
+    assert run(capsys, "classify", "--k", "3", "--kind", kind) == (0, golden, "")
 
 
 def test_cli_classify_deterministic_across_threads(capsys):
