@@ -2,15 +2,14 @@
 Hamming code, plus the general-k family constructors.
 
 Pipeline: solve the structure-vector equations, enumerate one representative
-per isomorphism class of structures realizing each vector, then search all
-coordinate labelings modulo structure automorphisms with early rejection of
-partial assignments that already violate an even split of a weight-4
-codeword.  Negative answers report the exact number of labelings covered, so
-the exhaustion is auditable.
+per isomorphism class of structures realizing each vector, then decide every
+coordinate labeling of each representative in one numpy sweep and keep the
+least admitting one as the witness.  Negative answers report the number of
+labelings up to structure automorphism, n!/|Aut|, so the exhaustion is
+auditable.
 
 Canonical forms and automorphism group orders come from one
-individualization-refinement search, `_canonical_search`; the labeling
-search takes its interchangeable classes from the same root refinement.
+individualization-refinement search, `_canonical_search`.
 """
 
 from __future__ import annotations
@@ -19,12 +18,16 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from .codes import (
     BinaryLinearCode,
     MetricContext,
     check_perfect_conditions,
+    codeword_masks,
     extended_hamming,
     weight4_codeword_masks,
 )
@@ -345,22 +348,23 @@ class CheckedLabeling:
     conditions_perfect: bool
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
-    witness: Optional[LabeledStructure]
-    labelings_covered: int
-    finals_checked: int
+def search_labelings(structure: Structure, code: BinaryLinearCode, r: int = 2) -> Optional[LabeledStructure]:
+    """Least labeling, in lexicographic order, that makes the code r-perfect
+    on the structure, or None when no labeling does.
 
+    All n! labelings are decided at once.  Once the sphere size is
+    2**(n - dim), the code is r-perfect exactly when the codeword spheres are
+    disjoint, that is when no non-zero codeword is x ^ y with x and y in the
+    ball B_r; this holds for every code and every radius.  Row i of
+    `labelings` holds the coordinate of each position, so a codeword lands on
+    the mask of the positions carrying its coordinates, which is looked up in
+    the table of B_r ^ B_r.
 
-def _search_labelings(structure: Structure, code: BinaryLinearCode, r: int = 2) -> SearchOutcome:
-    """Depth-first labeling search with automorphism and split pruning.
-
-    Assignments are built position by position in natural order, coordinates
-    ascending, with positions of each fully interchangeable class forced to
-    carry ascending coordinates (one representative per orbit of that
-    symmetry).  A partial assignment dies as soon as the four coordinates of
-    some weight-4 codeword are placed on positions of structure weight 4
-    admitting an even split into two halves of weight at most 2.
+    The least admitting labeling puts ascending coordinates on each cell of
+    pairwise twins: swapping two twin positions composes the labeling with an
+    automorphism, which keeps it admitting, and sorting a cell never makes
+    the labeling larger.  So it is also the first admitting labeling among
+    those with ascending twin cells.
     """
     ctx = MetricContext.of(structure)
     n = ctx.length
@@ -368,91 +372,22 @@ def _search_labelings(structure: Structure, code: BinaryLinearCode, r: int = 2) 
         raise ValueError(f"structure size {n} != code length {code.length}")
     if n > EXHAUSTIVE_SEARCH_LIMIT:
         raise ValueError(f"size {n} exceeds labeling-search guard {EXHAUSTIVE_SEARCH_LIMIT}")
-    total = math.factorial(n) // automorphism_count(structure)
-    if ctx.sphere_size(r) != 1 << (code.length - code.dimension):
-        return SearchOutcome(None, total, 0)
-
-    classes, twins = _root_cells(*_structure_matrix(structure))
-    class_of = [0] * n
-    for ci, members in enumerate(classes):
-        for p in members:
-            class_of[p] = ci
-    module_class = [_is_twin_cell(classes[class_of[p]], twins) for p in range(n)]
-
-    wt = ctx.weights().tolist()  # list indexing is faster than numpy scalars here
-    w4 = weight4_codeword_masks(code)
-    cw_of_coord: List[List[int]] = [[] for _ in range(n)]
-    for t, cw in enumerate(w4):
-        for c in _bits(cw):
-            cw_of_coord[c].append(t)
-    remaining = [4] * len(w4)
-
-    assignment = [0] * n      # position index -> coordinate index (0-based)
-    pos_of_coord = [-1] * n
-    last_in_class = [-1] * len(classes)
-    finals = 0
-    witness: Optional[LabeledStructure] = None
-
-    def split_violated(t: int) -> bool:
-        coords = list(_bits(w4[t]))
-        pos = [pos_of_coord[c] for c in coords]
-        pmask = 0
-        for p in pos:
-            pmask |= 1 << p
-        if wt[pmask] != 4:
-            return False
-        p0, p1, p2, p3 = pos
-        for x, y in (
-            ((1 << p0) | (1 << p1), (1 << p2) | (1 << p3)),
-            ((1 << p0) | (1 << p2), (1 << p1) | (1 << p3)),
-            ((1 << p0) | (1 << p3), (1 << p1) | (1 << p2)),
-        ):
-            if wt[x] <= 2 and wt[y] <= 2:
-                return True
-        return False
-
-    def dfs(p: int) -> bool:
-        nonlocal finals, witness
-        if p == n:
-            finals += 1
-            candidate = LabeledStructure(structure, tuple(c + 1 for c in assignment))
-            report = check_perfect_conditions(code, candidate.context(), r)
-            if report.perfect:
-                witness = candidate
-                return True
-            return False
-        ci = class_of[p]
-        lower = last_in_class[ci] if module_class[p] else -1
-        for c in range(lower + 1, n):
-            if pos_of_coord[c] != -1:
-                continue
-            assignment[p] = c
-            pos_of_coord[c] = p
-            saved_last = last_in_class[ci]
-            last_in_class[ci] = c
-            ok = True
-            touched = []
-            for t in cw_of_coord[c]:
-                remaining[t] -= 1
-                touched.append(t)
-                if remaining[t] == 0 and split_violated(t):
-                    ok = False
-            if ok and dfs(p + 1):
-                return True
-            for t in touched:
-                remaining[t] += 1
-            last_in_class[ci] = saved_last
-            pos_of_coord[c] = -1
-        return False
-
-    dfs(0)
-    return SearchOutcome(witness, total, finals)
-
-
-def search_labelings(structure: Structure, code: BinaryLinearCode, r: int = 2) -> Optional[LabeledStructure]:
-    """First labeling (ascending, one per automorphism orbit) making the code
-    r-perfect on the structure, or None once the whole orbit space is ruled out."""
-    return _search_labelings(structure, code, r).witness
+    if ctx.sphere_size(r) != 1 << (n - code.dimension):
+        return None
+    ball = np.flatnonzero(ctx.weights() <= r)
+    meets = np.zeros(1 << n, dtype=bool)
+    meets[ball[:, None] ^ ball[None, :]] = True
+    # n <= 8, so coordinates and position masks fit in uint8
+    labelings = np.fromiter(permutations(range(n)), dtype=(np.uint8, n), count=math.factorial(n))
+    position_bits = (1 << np.arange(n)).astype(np.uint8)
+    admits = np.ones(len(labelings), dtype=bool)
+    for cw in codeword_masks(code)[1:]:
+        carries = (np.uint8(cw) >> labelings) & 1  # does position p carry a coordinate of cw
+        admits &= ~meets[carries @ position_bits]
+    first = int(admits.argmax())
+    if not admits[first]:
+        return None
+    return LabeledStructure(structure, tuple(c + 1 for c in labelings[first].tolist()))
 
 
 # --- the classification ----------------------------------------------------
@@ -498,11 +433,11 @@ def _sample_labelings(structure: Structure, canonical: bytes, n: int,
 
 def _classify_entry(code: BinaryLinearCode, v: StructureVector,
                     distribution: Tuple[int, ...], structure: Structure) -> ClassEntry:
-    outcome = _search_labelings(structure, code, 2)
+    witness = search_labelings(structure, code, 2)
     canonical = canonical_form(structure)
     n = code.length
     checked = []
-    for lab in _sample_labelings(structure, canonical, n, outcome.witness):
+    for lab in _sample_labelings(structure, canonical, n, witness):
         ls = LabeledStructure(structure, lab)
         report = check_perfect_conditions(code, ls.context(), 2)
         checked.append(CheckedLabeling(lab, report.perfect))
@@ -511,9 +446,9 @@ def _classify_entry(code: BinaryLinearCode, v: StructureVector,
         distribution=distribution,
         structure=structure,
         canonical=canonical,
-        admits=outcome.witness is not None,
-        witness=outcome.witness,
-        labelings_covered=outcome.labelings_covered,
+        admits=witness is not None,
+        witness=witness,
+        labelings_covered=math.factorial(n) // automorphism_count(structure),
         checked=tuple(checked),
     )
 

@@ -1,7 +1,8 @@
 """Command-line entry point binding all modules.
 
 Exit codes: 0 on success, 1 when a requested check fails (for example the
-code is not perfect at the given radius), 2 on usage or input-format errors.
+code is not perfect at the given radius), 2 on usage or input-format errors
+and on output paths that cannot be written.
 All reports are plain UTF-8 text with a fixed column order.  `classify`
 still accepts `--threads N` and `PERFCODE_THREADS` but runs on one thread,
 so neither changes its output.
@@ -12,8 +13,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from . import formats
 from .classify import build_family_digraph, build_family_wposet
@@ -49,6 +51,15 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise SystemExit(_fail(f"cannot read {path}: {exc.strerror or exc}"))
+
+
+@contextmanager
+def _writing(path: Path) -> Iterator[None]:
+    """Turn an OSError from making or writing path into an exit-2 message."""
+    try:
+        yield
+    except OSError as exc:
+        raise SystemExit(_fail(f"cannot write {path}: {exc.strerror or exc}"))
 
 
 def _fail(message: str) -> int:
@@ -127,17 +138,17 @@ def _cmd_classify(args) -> int:
         print(line)
     if args.emit_witness:
         out = Path(args.emit_witness)
-        out.mkdir(parents=True, exist_ok=True)
+        with _writing(out):
+            out.mkdir(parents=True, exist_ok=True)
         for entry in admitting:
             vec = "-".join(str(x) for x in entry.vector.as_tuple())
             dist = "-".join(str(d) for d in entry.distribution)
             suffix = "wposet" if report.kind == "wposet" else "digraph"
             path = out / f"{report.kind}_{vec}_{dist}.{suffix}"
             structure = entry.witness.relabeled()
-            if report.kind == "wposet":
-                path.write_text(formats.write_wposet(structure), encoding="utf-8")
-            else:
-                path.write_text(formats.write_digraph(structure), encoding="utf-8")
+            write = formats.write_wposet if report.kind == "wposet" else formats.write_digraph
+            with _writing(path):
+                path.write_text(write(structure), encoding="utf-8")
             print(f"witness-file={path}")
     return 0
 
@@ -199,8 +210,9 @@ def _cmd_family(args) -> int:
     if args.out:
         structure_path = Path(f"{args.out}.{suffix}")
         code_path = Path(f"{args.out}.code")
-        structure_path.write_text(text, encoding="utf-8")
-        code_path.write_text(code_text, encoding="utf-8")
+        for path, content in ((structure_path, text), (code_path, code_text)):
+            with _writing(path):
+                path.write_text(content, encoding="utf-8")
         print(f"structure-file={structure_path}")
         print(f"code-file={code_path}")
     else:

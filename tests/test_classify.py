@@ -1,6 +1,7 @@
 import random
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from perfcode.classify import (
@@ -19,7 +20,9 @@ from perfcode.classify import (
     solve_structure_vectors,
 )
 from perfcode.codes import (
+    BinaryLinearCode,
     check_perfect_conditions,
+    codeword_masks,
     extended_hamming,
     is_r_perfect,
 )
@@ -401,3 +404,152 @@ def test_labeled_structure_validates_bijection():
     s = build_wposet_structure(StructureVector(3, 1, 4), (4, 0, 0))
     with pytest.raises(ValueError):
         LabeledStructure(s, (1, 1, 2, 3, 4, 5, 6, 7))
+
+
+# --- an unpruned audit of the k=3 classification ---------------------------
+#
+# A second route to every k=3 verdict, written apart from the engine: the
+# weight-4 codewords of H3, given as literals, are placed by each of the 8!
+# labelings and looked up in a table of bad quads, with no ball sumset, no
+# automorphism pruning and no refinement search.
+
+# Extended Hamming [8,4,4], literal character i is coordinate i + 1.
+H3_LITERALS = (
+    "00000000", "00001111", "10010110", "10011001",
+    "01011010", "01010101", "11001100", "11000011",
+    "00111100", "00110011", "10101010", "10100101",
+    "01100110", "01101001", "11110000", "11111111",
+)
+H3_WORDS = tuple(int(lit[::-1], 2) for lit in H3_LITERALS)
+AGL_3_2 = 1344  # |AGL(3,2)|, the automorphism group of H3
+
+# Row i is the i-th labeling in lexicographic order: LABELINGS[i, p] is the
+# coordinate (0-based) of position p, and WHERE[i, c] the position of c.
+LABELINGS = np.array(list(permutations(range(8))), dtype=np.int64)
+WHERE = np.argsort(LABELINGS, axis=1)
+
+
+def _structure_weights(structure):
+    """Structure weight of every position mask: pi summed over its closure."""
+    out = []
+    for mask in range(256):
+        closure = 0
+        for p in range(8):
+            if mask >> p & 1:
+                closure |= structure.generators[p]
+        out.append(sum(w for p, w in enumerate(structure.pi) if closure >> p & 1))
+    return out
+
+
+def _bad_quads(weights):
+    """256-entry table of position sets of structure weight 4 that split 2+2
+    into halves of weight at most 2."""
+    bad = np.zeros(256, dtype=bool)
+    for quad in range(256):
+        if quad.bit_count() == 4 and weights[quad] == 4:
+            low = quad & -quad
+            for other in (1 << p for p in range(8) if quad >> p & 1 and 1 << p != low):
+                half = low | other
+                bad[quad] |= weights[half] <= 2 and weights[quad ^ half] <= 2
+    return bad
+
+
+def _audit(structure, words=H3_WORDS):
+    """Which of the 8! labelings make the code 2-perfect, by the bad-quad rule
+    (exact at r = 2 for a minimum-distance-4 code of the right sphere size)."""
+    weights = _structure_weights(structure)
+    if sum(w <= 2 for w in weights) != 16:
+        return np.zeros(len(LABELINGS), dtype=bool)
+    bad = _bad_quads(weights)
+    admits = np.ones(len(LABELINGS), dtype=bool)
+    for cw in words:
+        if cw.bit_count() == 4:
+            coords = [c for c in range(8) if cw >> c & 1]
+            admits &= ~bad[(1 << WHERE[:, coords]).sum(axis=1)]
+    return admits
+
+
+def _orbit_count(structure):
+    """Distinct relabeled (colors, arcs) over all 8! labelings."""
+    arcs = np.zeros((8, 8), dtype=bool)
+    if isinstance(structure, Digraph):
+        for u, v in structure.edges:
+            arcs[u - 1, v - 1] = True
+    else:
+        for i, down in enumerate(structure.poset.down):
+            arcs[i] = [down >> j & 1 and j != i for j in range(8)]
+    moved = arcs[WHERE[:, :, None], WHERE[:, None, :]].reshape(len(LABELINGS), 64)
+    colors = np.asarray(structure.pi, dtype=np.uint8)[WHERE]
+    rows = np.hstack([colors, np.packbits(moved, axis=1)])
+    return len(np.unique(rows.view(f"V{rows.shape[1]}")))  # one opaque value per row
+
+
+@pytest.fixture(scope="module")
+def k3_reports():
+    return {kind: classify(3, kind) for kind in ("wposet", "digraph")}
+
+
+def _entries(reports):
+    return [(kind, e) for kind, report in reports.items() for e in report.entries]
+
+
+def test_audit_agrees_with_classify(k3_reports):
+    entries = _entries(k3_reports)
+    assert len(entries) == 18
+    for kind, entry in entries:
+        admits = _audit(entry.structure)
+        assert entry.admits == admits.any(), (kind, entry.distribution)
+        if entry.admits:
+            first = LABELINGS[admits.argmax()]
+            assert entry.witness.labeling == tuple(int(c) + 1 for c in first)
+        assert entry.labelings_covered == _orbit_count(entry.structure)
+
+
+def test_audit_counts(k3_reports):
+    counts = {}
+    for kind, entry in _entries(k3_reports):
+        count = int(_audit(entry.structure).sum())
+        assert count % AGL_3_2 == 0 and count % automorphism_count(entry.structure) == 0
+        counts[kind, entry.vector.as_tuple(), entry.distribution] = count
+    for kind in ("wposet", "digraph"):
+        assert counts[kind, (2, 0, 6), (4, 2)] == 8064
+        assert counts[kind, (2, 0, 6), (5, 1)] == 0
+        assert counts[kind, (2, 0, 6), (3, 3)] == 0
+
+
+def test_witness_is_least_admitting_labeling(k3_reports):
+    code = extended_hamming(3)
+    for kind, entry in _entries(k3_reports):
+        if not entry.admits:
+            continue
+        below = []
+        for lab in permutations(range(1, 9)):
+            if lab == entry.witness.labeling:
+                break
+            below.append(lab)
+        assert len(below) <= 24
+        for lab in below:
+            assert not is_r_perfect(code, LabeledStructure(entry.structure, lab).context(), 2)
+        assert is_r_perfect(code, entry.witness.context(), 2)
+
+
+def test_search_on_permuted_h3(k3_reports):
+    h3 = extended_hamming(3)
+    rng = random.Random(2024)
+    for _ in range(3):
+        perm = list(range(8))
+        rng.shuffle(perm)
+
+        def move(mask):
+            return sum((mask >> c & 1) << perm[c] for c in range(8))
+
+        code = BinaryLinearCode.from_basis(8, [move(b) for b in h3.basis])
+        words = tuple(move(w) for w in H3_WORDS)
+        assert set(codeword_masks(code)) == set(words)
+        for kind, entry in _entries(k3_reports):
+            found = search_labelings(entry.structure, code)
+            admits = _audit(entry.structure, words)
+            assert (found is not None) == admits.any() == entry.admits
+            if found is not None:
+                assert is_r_perfect(code, found.context(), 2)
+                assert found.labeling == tuple(int(c) + 1 for c in LABELINGS[admits.argmax()])

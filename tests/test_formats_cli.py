@@ -240,6 +240,22 @@ def test_cli_classify_matches_golden_stdout(capsys, kind):
     assert run(capsys, "classify", "--k", "3", "--kind", kind) == (0, golden, "")
 
 
+def test_cli_classify_witness_dir_that_is_a_file_is_usage_error(capsys, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    code, _, err = run(capsys, "classify", "--k", "3", "--kind", "digraph",
+                       "--emit-witness", str(taken))
+    assert code == 2
+    assert err == f"error: cannot write {taken}: File exists\n"
+
+
+def test_cli_family_out_in_missing_dir_is_usage_error(capsys, tmp_path):
+    prefix = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "family", "--k", "3", "--kind", "digraph", "--out", str(prefix))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {prefix}.digraph: No such file or directory\n"
+
+
 def test_cli_classify_deterministic_across_threads(capsys):
     code1, out1, _ = run(capsys, "classify", "--k", "3", "--kind", "wposet", "--threads", "1")
     code2, out2, _ = run(capsys, "classify", "--k", "3", "--kind", "wposet", "--threads", "4")
