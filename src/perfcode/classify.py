@@ -8,15 +8,17 @@ least admitting one as the witness.  Negative answers report the number of
 labelings up to structure automorphism, n!/|Aut|, so the exhaustion is
 auditable.
 
+The family constructors put their eight special coordinates at the closed
+form `GREEK_COORDINATES` and check every structure they build by the
+condition pair of `check_perfect_conditions`.
+
 Canonical forms and automorphism group orders come from one
 individualization-refinement search, `_canonical_search`.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
-import random
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -29,7 +31,6 @@ from .codes import (
     check_perfect_conditions,
     codeword_masks,
     extended_hamming,
-    weight4_codeword_masks,
 )
 from .digraph import Digraph
 from .poset import Poset
@@ -340,14 +341,6 @@ def relabel(structure: Structure, labeling: Sequence[int]) -> Structure:
     return Digraph.from_edges(structure.n, edges)
 
 
-@dataclass(frozen=True)
-class CheckedLabeling:
-    """A fully evaluated labeling and its condition-pair verdict."""
-
-    labeling: Tuple[int, ...]
-    conditions_perfect: bool
-
-
 def search_labelings(structure: Structure, code: BinaryLinearCode, r: int = 2) -> Optional[LabeledStructure]:
     """Least labeling, in lexicographic order, that makes the code r-perfect
     on the structure, or None when no labeling does.
@@ -397,11 +390,9 @@ class ClassEntry:
     vector: StructureVector
     distribution: Tuple[int, ...]
     structure: Structure
-    canonical: bytes
     admits: bool
     witness: Optional[LabeledStructure]
     labelings_covered: int
-    checked: Tuple[CheckedLabeling, ...]
 
 
 @dataclass(frozen=True)
@@ -417,39 +408,16 @@ class ClassificationReport:
         return [e for e in self.entries if not e.admits]
 
 
-def _sample_labelings(structure: Structure, canonical: bytes, n: int,
-                      witness: Optional[LabeledStructure]) -> List[Tuple[int, ...]]:
-    seed = int.from_bytes(hashlib.sha256(canonical).digest()[:8], "big")
-    rng = random.Random(seed)
-    sample = [tuple(range(1, n + 1))]
-    if witness is not None:
-        sample.append(witness.labeling)
-    for _ in range(3):
-        lab = list(range(1, n + 1))
-        rng.shuffle(lab)
-        sample.append(tuple(lab))
-    return sample
-
-
 def _classify_entry(code: BinaryLinearCode, v: StructureVector,
                     distribution: Tuple[int, ...], structure: Structure) -> ClassEntry:
     witness = search_labelings(structure, code, 2)
-    canonical = canonical_form(structure)
-    n = code.length
-    checked = []
-    for lab in _sample_labelings(structure, canonical, n, witness):
-        ls = LabeledStructure(structure, lab)
-        report = check_perfect_conditions(code, ls.context(), 2)
-        checked.append(CheckedLabeling(lab, report.perfect))
     return ClassEntry(
         vector=v,
         distribution=distribution,
         structure=structure,
-        canonical=canonical,
         admits=witness is not None,
         witness=witness,
-        labelings_covered=math.factorial(n) // automorphism_count(structure),
-        checked=tuple(checked),
+        labelings_covered=math.factorial(code.length) // automorphism_count(structure),
     )
 
 
@@ -468,57 +436,19 @@ def classify(k: int, kind: str) -> ClassificationReport:
 
 # --- general-k families ----------------------------------------------------
 
-def _greek_coordinates(code: BinaryLinearCode) -> Tuple[int, ...]:
-    """Eight distinct coordinates (a, b, c, d, a', b', c', d') such that
-    {a,b,c,d}, {a,b,a',b'}, {a,c,a',c'} and {a,d,a',d'} are codewords.
-
-    Search is depth-first over the free choices (a, b, c, a') in ascending
-    coordinate order; the remaining four coordinates are forced, since a
-    minimum-distance-4 code completes any three coordinates to at most one
-    weight-4 codeword.
-    """
-    n = code.length
-    complete: Dict[int, int] = {}
-    for cw in weight4_codeword_masks(code):
-        for c in _bits(cw):
-            complete[cw ^ (1 << c)] = c + 1
-
-    def done(*coords: int) -> Optional[int]:
-        mask = 0
-        for x in coords:
-            mask |= 1 << (x - 1)
-        return complete.get(mask)
-
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            if b == a:
-                continue
-            for c in range(1, n + 1):
-                if c in (a, b):
-                    continue
-                d = done(a, b, c)
-                if d is None or d in (a, b, c):
-                    continue
-                for ap in range(1, n + 1):
-                    if ap in (a, b, c, d):
-                        continue
-                    bp = done(a, b, ap)
-                    cp = done(a, c, ap)
-                    dp = done(a, d, ap)
-                    named = [a, b, c, d, ap, bp, cp, dp]
-                    if None in named or len(set(named)) != 8:
-                        continue
-                    return tuple(named)
-    raise RuntimeError("no coordinate assignment satisfies the codeword constraints")
+# Coordinate i carries the point i-1 of F_2^k in extended_hamming(k)'s parity
+# check, and the all-ones row asks only for an even count.  The point sets
+# {0,1,2,3}, {0,1,4,5}, {0,2,4,6} and {0,3,4,7} each XOR to 0, so with
+# (a, b, c, d, a', b', c', d') = (1, ..., 8) the sets {a,b,c,d}, {a,b,a',b'},
+# {a,c,a',c'} and {a,d,a',d'} are codewords at every k >= 3.
+GREEK_COORDINATES = (1, 2, 3, 4, 5, 6, 7, 8)
 
 
 def _verify_family(code: BinaryLinearCode, ctx: MetricContext) -> None:
-    from .codes import check_weight4_partitions
-
-    expected = 1 << (code.length - code.dimension)
-    if ctx.sphere_size(2) != expected:
+    report = check_perfect_conditions(code, ctx, 2)
+    if not report.sphere_condition:
         raise RuntimeError("family construction violates the sphere condition")
-    if not check_weight4_partitions(code, ctx):
+    if not report.partition_condition:
         raise RuntimeError("family construction violates the partition condition")
 
 
@@ -536,7 +466,7 @@ def build_family_wposet(k: int, variant: int) -> LabeledStructure:
         raise ValueError(f"variant must be 1 or 2, got {variant}")
     code = extended_hamming(k)
     n = code.length
-    a, b, c, d, ap, bp, cp, dp = _greek_coordinates(code)
+    a, b, c, d, ap, bp, cp, dp = GREEK_COORDINATES
     pi = [1] * n
     if variant == 1:
         anchored = set(range(1, n + 1)) - {a, b, c, d}
@@ -562,7 +492,7 @@ def build_family_digraph(k: int) -> LabeledStructure:
         raise ValueError(f"k must be in 3..{FAMILY_K_LIMIT}, got {k}")
     code = extended_hamming(k)
     n = code.length
-    a, b, c, d, ap, bp, cp, dp = _greek_coordinates(code)
+    a, b, c, d, ap, bp, cp, dp = GREEK_COORDINATES
     rest = set(range(1, n + 1)) - {a, ap, b, c, d, cp, dp}
     edges = [(a, ap), (ap, a), (cp, b), (dp, c)] + [(t, d) for t in sorted(rest)]
     g = Digraph.from_edges(n, edges)

@@ -6,7 +6,7 @@ so serialize/parse round-trips are exact.  Blank lines are ignored.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Tuple
 
 from .bitvec import BitVector
 from .codes import BinaryLinearCode
@@ -37,29 +37,46 @@ def parse_vector(text: str) -> BitVector:
         raise FormatError(str(exc), 1) from exc
 
 
+def _count(head, what: str) -> int:
+    number, line = head
+    try:
+        return int(line)
+    except ValueError:
+        raise FormatError(f"expected {what} count, got {line!r}", number) from None
+
+
+def _build(make, size: int, items, number: int):
+    """make(size, items), its errors (a bad size, a cycle, a dependent
+    basis) charged to the given head line: no single later line causes them."""
+    try:
+        return make(size, items)
+    except ValueError as exc:
+        raise FormatError(str(exc), number) from exc
+
+
+def _relation(number: int, line: str, size: int) -> Tuple[int, int]:
+    parts = line.split()
+    if len(parts) != 3 or parts[1] != "<":
+        raise FormatError(f"expected `j < i`, got {line!r}", number)
+    try:
+        j, i = int(parts[0]), int(parts[2])
+    except ValueError:
+        raise FormatError(f"non-integer element in {line!r}", number) from None
+    if not (1 <= j <= size and 1 <= i <= size):
+        raise FormatError(f"relation {j} < {i} out of range 1..{size}", number)
+    if j == i:
+        raise FormatError(f"reflexive relation {j} < {i}", number)
+    return j, i
+
+
 def parse_poset(text: str) -> Poset:
     """First line the size m, then one strict relation `j < i` per line."""
     lines = list(_content_lines(text))
     if not lines:
         raise FormatError("empty poset file", 1)
-    number, head = lines[0]
-    try:
-        size = int(head)
-    except ValueError:
-        raise FormatError(f"expected element count, got {head!r}", number) from None
-    relations = []
-    for number, line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 3 or parts[1] != "<":
-            raise FormatError(f"expected `j < i`, got {line!r}", number)
-        try:
-            relations.append((int(parts[0]), int(parts[2])))
-        except ValueError:
-            raise FormatError(f"non-integer element in {line!r}", number) from None
-    try:
-        return Poset.from_relations(size, relations)
-    except ValueError as exc:
-        raise FormatError(str(exc), lines[0][0]) from exc
+    size = _count(lines[0], "element")
+    relations = [_relation(number, line, size) for number, line in lines[1:]]
+    return _build(Poset.from_relations, size, relations, lines[0][0])
 
 
 def write_poset(p: Poset) -> str:
@@ -68,40 +85,39 @@ def write_poset(p: Poset) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _weight(number: int, line: str, size: int) -> Tuple[int, int]:
+    parts = line.split()
+    if len(parts) != 3:
+        raise FormatError(f"expected `w i pi`, got {line!r}", number)
+    try:
+        element, weight = int(parts[1]), int(parts[2])
+    except ValueError:
+        raise FormatError(f"non-integer in {line!r}", number) from None
+    if not 1 <= element <= size:
+        raise FormatError(f"weight for element {element} out of range 1..{size}", number)
+    if weight < 1:
+        raise FormatError(f"weight of element {element} must be >= 1, got {weight}", number)
+    return element, weight
+
+
 def parse_wposet(text: str) -> WeightedPoset:
-    """Poset format plus one line `w i pi(i)` per element; weights default to 1."""
-    relation_lines = []
-    weights = {}
+    """Poset format plus at most one line `w i pi(i)` per element; weights default to 1."""
     lines = list(_content_lines(text))
     if not lines:
         raise FormatError("empty weighted-poset file", 1)
-    head_number, head = lines[0]
-    try:
-        size = int(head)
-    except ValueError:
-        raise FormatError(f"expected element count, got {head!r}", head_number) from None
+    size = _count(lines[0], "element")
+    relations = []
+    weights: Dict[int, int] = {}
     for number, line in lines[1:]:
-        if line.startswith("w "):
-            parts = line.split()
-            if len(parts) != 3:
-                raise FormatError(f"expected `w i pi`, got {line!r}", number)
-            try:
-                weights[int(parts[1])] = int(parts[2])
-            except ValueError:
-                raise FormatError(f"non-integer in {line!r}", number) from None
-        else:
-            relation_lines.append((number, line))
-    poset_text = "\n".join([str(size)] + [line for _, line in relation_lines])
-    poset = parse_poset(poset_text)
-    pi = [1] * size
-    for element, weight in weights.items():
-        if not 1 <= element <= size:
-            raise FormatError(f"weight for element {element} out of range 1..{size}", head_number)
-        pi[element - 1] = weight
-    try:
-        return WeightedPoset(poset, tuple(pi))
-    except ValueError as exc:
-        raise FormatError(str(exc), head_number) from exc
+        if not line.startswith("w "):
+            relations.append(_relation(number, line, size))
+            continue
+        element, weight = _weight(number, line, size)
+        if element in weights:
+            raise FormatError(f"repeated weight for element {element}", number)
+        weights[element] = weight
+    poset = _build(Poset.from_relations, size, relations, lines[0][0])
+    return WeightedPoset(poset, tuple(weights.get(i, 1) for i in range(1, size + 1)))
 
 
 def write_wposet(wp: WeightedPoset) -> str:
@@ -111,29 +127,29 @@ def write_wposet(wp: WeightedPoset) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _edge(number: int, line: str, n: int) -> Tuple[int, int]:
+    parts = line.split()
+    if len(parts) != 3 or parts[1] != "->":
+        raise FormatError(f"expected `u -> v`, got {line!r}", number)
+    try:
+        u, v = int(parts[0]), int(parts[2])
+    except ValueError:
+        raise FormatError(f"non-integer vertex in {line!r}", number) from None
+    if not (1 <= u <= n and 1 <= v <= n):
+        raise FormatError(f"edge {u} -> {v} out of range 1..{n}", number)
+    if u == v:
+        raise FormatError(f"loop {u} -> {v} not allowed", number)
+    return u, v
+
+
 def parse_digraph(text: str) -> Digraph:
     """First line the vertex count n, then one edge `u -> v` per line."""
     lines = list(_content_lines(text))
     if not lines:
         raise FormatError("empty digraph file", 1)
-    number, head = lines[0]
-    try:
-        n = int(head)
-    except ValueError:
-        raise FormatError(f"expected vertex count, got {head!r}", number) from None
-    edges = []
-    for number, line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 3 or parts[1] != "->":
-            raise FormatError(f"expected `u -> v`, got {line!r}", number)
-        try:
-            edges.append((int(parts[0]), int(parts[2])))
-        except ValueError:
-            raise FormatError(f"non-integer vertex in {line!r}", number) from None
-    try:
-        return Digraph.from_edges(n, edges)
-    except ValueError as exc:
-        raise FormatError(str(exc), lines[0][0]) from exc
+    n = _count(lines[0], "vertex")
+    edges = [_edge(number, line, n) for number, line in lines[1:]]
+    return _build(Digraph.from_edges, n, edges, lines[0][0])
 
 
 def write_digraph(g: Digraph) -> str:
@@ -166,10 +182,7 @@ def parse_code(text: str) -> BinaryLinearCode:
         if v.length != n:
             raise FormatError(f"basis vector length {v.length} != {n}", number)
         masks.append(v.bits)
-    try:
-        return BinaryLinearCode.from_basis(n, masks)
-    except ValueError as exc:
-        raise FormatError(str(exc), lines[0][0]) from exc
+    return _build(BinaryLinearCode.from_basis, n, masks, lines[0][0])
 
 
 def write_code(code: BinaryLinearCode) -> str:

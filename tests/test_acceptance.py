@@ -24,10 +24,12 @@ from perfcode.classify import (
     build_family_digraph,
     build_family_wposet,
     classify,
+    relabel,
     solve_structure_vectors,
 )
 from perfcode.codes import (
     MetricContext,
+    check_perfect_conditions,
     codewords,
     covering_radius,
     extended_hamming,
@@ -121,6 +123,16 @@ def _two_perfect_by_exhaustion(below, pi):
     return ball == 16 and all(
         sum(weights[x ^ c] <= 2 for c in words) == 1 for x in range(256)
     )
+
+
+def _below_and_pi(structure):
+    """Strictly-below masks (out-neighbours for a digraph) and weights."""
+    if isinstance(structure, WeightedPoset):
+        return [d & ~(1 << i) for i, d in enumerate(structure.poset.down)], structure.pi
+    below = [0] * structure.n
+    for u, v in structure.edges:
+        below[u - 1] |= 1 << (v - 1)
+    return below, (1,) * structure.n
 
 
 def _split_star_evidence(below, pi):
@@ -235,8 +247,7 @@ def test_criterion_03_wposet_classification():
     )
     exactly_six = admitting == named
     witness = _entry_for(rep, ((2, 0, 6), (4, 2))).witness.relabeled()
-    below = [d & ~(1 << i) for i, d in enumerate(witness.poset.down)]
-    evidence = _split_star_evidence(below, witness.pi)
+    evidence = _split_star_evidence(*_below_and_pi(witness))
     ok = named_admit and exhausted and exactly_six and all(evidence) and elapsed < 60.0
     extras = sorted(admitting - named)
     report(
@@ -275,10 +286,7 @@ def test_criterion_04_digraph_classification():
     )
     exactly_four = admitting == named
     witness = _entry_for(rep, ((2, 0, 6), (4, 2))).witness.relabeled()
-    below = [0] * witness.n
-    for u, v in witness.edges:
-        below[u - 1] |= 1 << (v - 1)
-    evidence = _split_star_evidence(below, (1,) * witness.n)
+    evidence = _split_star_evidence(*_below_and_pi(witness))
     ok = named_admit and exhausted and exactly_four and all(evidence) and elapsed < 60.0
     extras = sorted(admitting - named)
     report(
@@ -290,21 +298,33 @@ def test_criterion_04_digraph_classification():
 
 
 def test_criterion_05_checker_equivalence():
+    """Three verdicts on a seeded sample of labelings of every k=3 class: the
+    ball-scatter exhaustion, the condition pair, and the 256-vector
+    exhaustion of this file, which uses no perfcode weight or checker."""
     code = extended_hamming(3)
+    rng = random.Random(5)
     disagreements = 0
     pairs = 0
+    perfect = 0
     for kind in ("wposet", "digraph"):
-        rep = classify(3, kind)
-        for entry in rep.entries:
-            for checked in entry.checked:
-                from perfcode.classify import LabeledStructure
-
-                ls = LabeledStructure(entry.structure, checked.labeling)
-                ground_truth = is_r_perfect(code, ls.context(), 2)
+        for entry in classify(3, kind).entries:
+            sample = [tuple(range(1, 9))]
+            if entry.witness is not None:
+                sample.append(entry.witness.labeling)
+            sample += [tuple(rng.sample(range(1, 9), 8)) for _ in range(3)]
+            for labeling in sample:
+                structure = relabel(entry.structure, labeling)
+                ctx = MetricContext.of(structure)
+                verdicts = {
+                    is_r_perfect(code, ctx, 2),
+                    check_perfect_conditions(code, ctx, 2).perfect,
+                    _two_perfect_by_exhaustion(*_below_and_pi(structure)),
+                }
                 pairs += 1
-                if ground_truth != checked.conditions_perfect:
-                    disagreements += 1
-    report(5, disagreements == 0 and pairs >= 80, f"{pairs} pairs, {disagreements} disagreements")
+                perfect += verdicts == {True}
+                disagreements += len(verdicts) > 1
+    ok = disagreements == 0 and pairs >= 80 and 0 < perfect < pairs
+    report(5, ok, f"{pairs} pairs, {disagreements} disagreements, {perfect} perfect")
 
 
 def test_criterion_06_golden_tables(capsys):

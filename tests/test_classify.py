@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from perfcode.classify import (
+    GREEK_COORDINATES,
     LabeledStructure,
     StructureVector,
+    _verify_family,
     automorphism_count,
     build_digraph_structure,
     build_family_digraph,
@@ -21,6 +23,7 @@ from perfcode.classify import (
 )
 from perfcode.codes import (
     BinaryLinearCode,
+    MetricContext,
     check_perfect_conditions,
     codeword_masks,
     extended_hamming,
@@ -29,7 +32,7 @@ from perfcode.codes import (
 from perfcode.digraph import Digraph
 from perfcode.wposet import omega_census
 
-from conftest import random_digraph, random_wposet
+from conftest import random_digraph, random_wposet, wposet_from
 
 
 def vectors(k, kind):
@@ -339,6 +342,27 @@ def test_classify_witnesses_are_exhaustively_perfect():
 def test_classify_rejects_other_k():
     with pytest.raises(ValueError):
         classify(4, "wposet")
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_greek_quadruples_are_codewords(k):
+    a, b, c, d, ap, bp, cp, dp = GREEK_COORDINATES
+    rows = extended_hamming(k).parity_check
+    assert len(rows) == k + 1 and sorted(GREEK_COORDINATES) == list(range(1, 9))
+    for quad in ((a, b, c, d), (a, b, ap, bp), (a, c, ap, cp), (a, d, ap, dp)):
+        mask = sum(1 << (x - 1) for x in quad)
+        assert all((row & mask).bit_count() % 2 == 0 for row in rows), quad
+
+
+def test_verify_family_names_the_failed_condition(two_anchor_wposet):
+    code = extended_hamming(3)
+    _verify_family(code, MetricContext.of(two_anchor_wposet))
+    with pytest.raises(RuntimeError, match="violates the sphere condition"):
+        _verify_family(code, MetricContext.of(wposet_from(8, [])))
+    # the anchor star with the heavy singleton moved from 4 to 5
+    star = wposet_from(8, [(1, 4), (1, 6), (1, 7), (1, 8)], heavy={5})
+    with pytest.raises(RuntimeError, match="violates the partition condition"):
+        _verify_family(code, MetricContext.of(star))
 
 
 def test_family_wposet_k3_variant1_layout(anchor_star_wposet):

@@ -8,7 +8,7 @@ from perfcode.digraph import Digraph
 from perfcode.poset import Poset
 from perfcode.wposet import WeightedPoset
 
-# Full `classify --k 3` stdout for each kind, byte for byte.
+# Full `classify --k 3` and `family` stdout, byte for byte.
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -47,15 +47,31 @@ def test_code_round_trip():
     assert set(codeword_masks(back)) == set(codeword_masks(h3))
 
 
+# (parser, text, line named, message fragment); a cycle has no single line
+# to blame and is charged to the head line.
+FORMAT_ERRORS = [
+    (formats.parse_poset, "3\n1 < 2\n2 bad 3\n", 3, "expected `j < i`"),
+    (formats.parse_poset, "3\n1 < 2\n2 < 2\n", 3, "reflexive relation 2 < 2"),
+    (formats.parse_poset, "3\n1 < 2\n2 < 1\n", 1, "cycle"),
+    (formats.parse_wposet, "3\nw 2 2\n2 bad 3\n", 3, "expected `j < i`"),
+    (formats.parse_wposet, "3\nw 2 2\n\n1 < 7\n", 4, "relation 1 < 7 out of range 1..3"),
+    (formats.parse_wposet, "3\n1 < 2\nw 5 2\n", 3, "weight for element 5 out of range 1..3"),
+    (formats.parse_wposet, "3\n1 < 2\nw 2 0\n", 3, "weight of element 2 must be >= 1"),
+    (formats.parse_wposet, "3\nw 2 2\n1 < 3\nw 2 3\n", 4, "repeated weight for element 2"),
+    (formats.parse_wposet, "3\nw 1 2\n1 < 2\n2 < 1\n", 1, "cycle"),
+    (formats.parse_digraph, "4\n1 -> 1\n", 2, "loop 1 -> 1 not allowed"),
+    (formats.parse_digraph, "4\n1 -> 2\n1 -> 1\n", 3, "loop 1 -> 1 not allowed"),
+    (formats.parse_digraph, "4\n1 -> 2\n2 -> 9\n", 3, "edge 2 -> 9 out of range 1..4"),
+    (formats.parse_code, "8 2\n10010110\n", 1, "expected 2 basis vectors"),
+]
+
+
 def test_format_errors_carry_line_numbers():
-    with pytest.raises(formats.FormatError) as err:
-        formats.parse_poset("3\n1 < 2\n2 bad 3\n")
-    assert err.value.line == 3
-    with pytest.raises(formats.FormatError) as err:
-        formats.parse_digraph("4\n1 -> 1\n")
-    assert "loop" in str(err.value)
-    with pytest.raises(formats.FormatError):
-        formats.parse_code("8 2\n10010110\n")
+    for parse, text, line, fragment in FORMAT_ERRORS:
+        with pytest.raises(formats.FormatError) as err:
+            parse(text)
+        assert (err.value.line, text) == (line, text)
+        assert str(err.value).startswith(f"line {line}: ") and fragment in str(err.value)
 
 
 def _write(tmp_path, name, text):
@@ -238,6 +254,20 @@ def test_cli_classify_output_and_witness_files(capsys, tmp_path):
 def test_cli_classify_matches_golden_stdout(capsys, kind):
     golden = (GOLDEN / f"classify_k3_{kind}.txt").read_text(encoding="utf-8")
     assert run(capsys, "classify", "--k", "3", "--kind", kind) == (0, golden, "")
+
+
+FAMILY_KINDS = {
+    "wposet_v1": ("--kind", "wposet", "--variant", "1"),
+    "wposet_v2": ("--kind", "wposet", "--variant", "2"),
+    "digraph": ("--kind", "digraph"),
+}
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("name", sorted(FAMILY_KINDS))
+def test_cli_family_matches_golden_stdout(capsys, k, name):
+    golden = (GOLDEN / f"family_k{k}_{name}.txt").read_text(encoding="utf-8")
+    assert run(capsys, "family", "--k", str(k), *FAMILY_KINDS[name]) == (0, golden, "")
 
 
 def test_cli_classify_witness_dir_that_is_a_file_is_usage_error(capsys, tmp_path):
