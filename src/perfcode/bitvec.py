@@ -3,8 +3,8 @@
 Coordinates are labeled 1..n externally; internally a vector is a single
 bitmask with coordinate i stored at bit i-1.  The textual literal form is a
 string of '0'/'1' characters whose leftmost character is coordinate 1.
-Values are immutable and hashable, so they can be shared freely between
-concurrent tasks.
+Values are immutable and hashable, so they can serve as set members and
+dict keys.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from .codes import (
     extended_hamming,
 )
 from .digraph import Digraph
-from .poset import Poset
+from .poset import Poset, bits
 from .wposet import WeightedPoset
 
 Structure = Union[WeightedPoset, Digraph]
@@ -165,15 +165,9 @@ def _structure_matrix(structure: Structure) -> Tuple[List[int], List[int], List[
         colors = [0] * structure.n
     cols = [0] * len(rows)
     for i, row in enumerate(rows):
-        for j in _bits(row):
+        for j in bits(row):
             cols[j] |= 1 << i
     return rows, cols, colors
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        yield (mask & -mask).bit_length() - 1
-        mask &= mask - 1
 
 
 def _equitable(rows: List[int], cols: List[int], cells: List[List[int]],
@@ -247,7 +241,7 @@ def _encode(rows: List[int], colors: List[int], order: Tuple[int, ...]) -> Tuple
     new_rows = []
     for old in order:
         row = 0
-        for j in _bits(rows[old]):
+        for j in bits(rows[old]):
             row |= 1 << position[j]
         new_rows.append(row)
     return (tuple(colors[old] for old in order), tuple(new_rows))
@@ -329,10 +323,8 @@ def relabel(structure: Structure, labeling: Sequence[int]) -> Structure:
     lab = tuple(labeling)
     if isinstance(structure, WeightedPoset):
         m = structure.size
-        relations = []
-        for i in range(1, m + 1):
-            for j in _bits(structure.poset.down[i - 1] & ~(1 << (i - 1))):
-                relations.append((lab[j], lab[i - 1]))
+        relations = [(lab[j], lab[i]) for i in range(m)
+                     for j in bits(structure.poset.down[i] & ~(1 << i))]
         pi = [0] * m
         for i in range(m):
             pi[lab[i] - 1] = structure.pi[i]

@@ -4,14 +4,12 @@ Exit codes: 0 on success, 1 when a requested check fails (for example the
 code is not perfect at the given radius), 2 on usage or input-format errors
 and on output paths that cannot be written.
 All reports are plain UTF-8 text with a fixed column order.  `classify`
-still accepts `--threads N` and `PERFCODE_THREADS` but runs on one thread,
-so neither changes its output.
+runs on one thread; it accepts `--threads N` and ignores it.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -35,15 +33,6 @@ from .transfer import map_code_collapse, map_code_expand
 from .wposet import sphere_size_formula, sphere_size_oracle
 
 CODE_SHORTHAND = {"h2": 2, "h3": 3, "h4": 4, "h5": 5}
-
-
-def _check_threads_env() -> None:
-    env = os.environ.get("PERFCODE_THREADS")
-    if env:
-        try:
-            int(env)
-        except ValueError:
-            raise ValueError(f"PERFCODE_THREADS={env!r} is not an integer") from None
 
 
 def _read(path: str) -> str:
@@ -122,8 +111,6 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    if not args.threads:
-        _check_threads_env()
     report = run_classification(args.k, args.kind)
     admitting = report.admitting()
     print(f"kind={report.kind} k={report.k} classes={len(report.entries)} admitting={len(admitting)}")

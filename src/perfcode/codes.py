@@ -19,11 +19,12 @@ Perfectness is decided two independent ways, which the tests cross-check:
   cost follows the sphere size at any length.
 
 The routes share nothing beyond the structure: one reads a table built by
-doubling, the other the closed-set fold and single-mask weights.  A further
-restriction of the partition check to weight-4 codewords and their even
-splits is the classification hot path; those codewords, and whether the
-minimum distance is 4, come from a syndrome search costing O(n^3) at any
-dimension.
+doubling, the other the closed-set fold and single-mask weights.  A third
+route at radius 2 restricts the partition check to weight-4 codewords and
+their even splits (check_weight4_partitions); past length 16, where
+exhaustion stops, it is the only independent check of the condition pair.
+Those codewords, and whether the minimum distance is 4, come from a
+syndrome search costing O(n^3) at any dimension.
 """
 
 from __future__ import annotations
@@ -111,9 +112,6 @@ class BinaryLinearCode:
     def from_parity_check(cls, length: int, rows: Iterable[int]) -> "BinaryLinearCode":
         rows = list(rows)
         return cls(length, tuple(_nullspace(rows, length)), tuple(rows))
-
-    def basis_vectors(self) -> List[BitVector]:
-        return [BitVector(self.length, b) for b in self.basis]
 
 
 @lru_cache(maxsize=4)
@@ -442,7 +440,7 @@ def check_perfect_conditions(code: BinaryLinearCode, ctx: MetricContext, r: int)
 
 
 def check_weight4_partitions(code: BinaryLinearCode, ctx: MetricContext) -> bool:
-    """Restricted partition check driving the radius-2 classification.
+    """The radius-2 partition check restricted to weight-4 codewords.
 
     Only codewords of structure weight exactly 4 can fail a 2/2 split, since
     structure weight dominates Hamming weight and is subadditive over splits.

@@ -20,7 +20,7 @@ from typing import Iterable, List, Set, Tuple
 import numpy as np
 
 from .bitvec import BitVector, add
-from .poset import Poset, closure_mask
+from .poset import Poset, bits, closure_mask
 from .wposet import (WeightedPoset, closure_weight, sphere_size_formula, sphere_size_oracle,
                      weight_planes, weight_table)
 
@@ -148,11 +148,8 @@ def condense(g: Digraph) -> Tuple[WeightedPoset, BlockMap]:
     """
     coreach = [1 << i for i in range(g.n)]
     for v in range(g.n):
-        m = g.reach[v] & ~(1 << v)
-        while m:
-            u = (m & -m).bit_length() - 1
+        for u in bits(g.reach[v] & ~(1 << v)):
             coreach[u] |= 1 << v
-            m &= m - 1
     comp_masks: List[int] = []
     assigned = 0
     for v in range(g.n):
@@ -199,11 +196,8 @@ def expand(wp: WeightedPoset) -> Tuple[Digraph, BlockMap]:
         if len(block) > 1:
             for idx, v in enumerate(block):
                 edges.append((v, block[(idx + 1) % len(block)]))
-        below = wp.poset.down[a - 1] & ~(1 << (a - 1))
-        while below:
-            b = (below & -below).bit_length()
-            edges.append((block[0], blocks[b - 1][0]))
-            below &= below - 1
+        for b in bits(wp.poset.down[a - 1] & ~(1 << (a - 1))):
+            edges.append((block[0], blocks[b][0]))
     bm = BlockMap(n, wp.size, tuple(blocks))
     return Digraph.from_edges(n, edges), bm
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .bitvec import BitVector
+from .bitvec import MAX_LENGTH, BitVector
 from .codes import BinaryLinearCode
 from .digraph import Digraph
 from .poset import Poset
@@ -28,13 +28,6 @@ def _content_lines(text: str):
         line = raw.strip()
         if line:
             yield number, line
-
-
-def parse_vector(text: str) -> BitVector:
-    try:
-        return BitVector.from_literal(text.strip())
-    except ValueError as exc:
-        raise FormatError(str(exc), 1) from exc
 
 
 def _count(head, what: str) -> int:
@@ -171,6 +164,8 @@ def parse_code(text: str) -> BinaryLinearCode:
         n, k = int(parts[0]), int(parts[1])
     except ValueError:
         raise FormatError(f"non-integer in {head!r}", number) from None
+    if not 1 <= n <= MAX_LENGTH:
+        raise FormatError(f"code length must be in 1..{MAX_LENGTH}, got {n}", number)
     if len(lines) - 1 != k:
         raise FormatError(f"expected {k} basis vectors, found {len(lines) - 1}", number)
     masks: List[int] = []

@@ -8,7 +8,7 @@ construction and the instance is immutable afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Set, Tuple
 
 IDEAL_ENUM_LIMIT = 20
@@ -23,13 +23,19 @@ def closure_mask(generators: Sequence[int], mask: int) -> int:
     return out
 
 
+def bits(mask: int) -> Iterator[int]:
+    """The 0-based coordinates of the mask, ascending."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+
+
 @dataclass(frozen=True)
 class Poset:
     """Poset on elements 1..size; down[i-1] is the mask of ⟨i⟩ including i."""
 
     size: int
     down: Tuple[int, ...]
-    up: Tuple[int, ...] = field(compare=False)
 
     @classmethod
     def from_relations(cls, size: int, relations: Iterable[Tuple[int, int]]) -> "Poset":
@@ -69,14 +75,7 @@ class Poset:
             for j in range(i + 1, size):
                 if down[i] >> j & 1 and down[j] >> i & 1:
                     raise ValueError(f"elements {j + 1} and {i + 1} lie on a cycle")
-        up = [1 << i for i in range(size)]
-        for i in range(size):
-            m = down[i] & ~(1 << i)
-            while m:
-                j = (m & -m).bit_length() - 1
-                up[j] |= 1 << i
-                m &= m - 1
-        return cls(size, tuple(down), tuple(up))
+        return cls(size, tuple(down))
 
     @classmethod
     def antichain(cls, size: int) -> "Poset":
@@ -94,36 +93,19 @@ class Poset:
         """Smallest order ideal containing the mask, as a mask."""
         return closure_mask(self.down, mask)
 
-    def is_ideal_mask(self, mask: int) -> bool:
-        return self.close_mask(mask) == mask
-
     def maximal_mask(self, mask: int) -> int:
-        """Maximal elements of an ideal given as a mask."""
-        out = 0
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            if (mask & self.up[i] & ~(1 << i)) == 0:
-                out |= 1 << i
-            m &= m - 1
-        return out
-
-    def iter_ideal_masks(self) -> Iterator[int]:
-        for mask in range(1 << self.size):
-            if self.close_mask(mask) == mask:
-                yield mask
+        """Members of the mask strictly below no other member."""
+        below = 0
+        for j in bits(mask):
+            below |= self.down[j] & ~(1 << j)
+        return mask & ~below
 
     def cover_relations(self) -> Iterator[Tuple[int, int]]:
-        """Yield the covers (j, i), j covered by i, in ascending order."""
-        for i in range(1, self.size + 1):
-            below = self.down[i - 1] & ~(1 << (i - 1))
-            m = below
-            while m:
-                j = (m & -m).bit_length() - 1
-                between = below & self.up[j] & ~(1 << j)
-                if between == 0:
-                    yield (j + 1, i)
-                m &= m - 1
+        """Yield the covers (j, i), j covered by i, in ascending order: the
+        j are the maximal elements of the strict down-set of i."""
+        for i in range(self.size):
+            for j in bits(self.maximal_mask(self.down[i] & ~(1 << i))):
+                yield (j + 1, i + 1)
 
 
 def _mask_of(size: int, elements: Iterable[int]) -> int:
@@ -136,11 +118,7 @@ def _mask_of(size: int, elements: Iterable[int]) -> int:
 
 
 def _set_of(mask: int) -> Set[int]:
-    out = set()
-    while mask:
-        out.add((mask & -mask).bit_length())
-        mask &= mask - 1
-    return out
+    return {i + 1 for i in bits(mask)}
 
 
 def ideal_closure(p: Poset, elements: Iterable[int]) -> Set[int]:
@@ -166,5 +144,6 @@ def enumerate_order_ideals(p: Poset) -> Iterator[Set[int]]:
     """Yield every order ideal of p exactly once."""
     if p.size > IDEAL_ENUM_LIMIT:
         raise ValueError(f"poset size {p.size} exceeds ideal-enumeration guard {IDEAL_ENUM_LIMIT}")
-    for mask in p.iter_ideal_masks():
-        yield _set_of(mask)
+    for mask in range(1 << p.size):
+        if p.close_mask(mask) == mask:
+            yield _set_of(mask)

@@ -14,7 +14,7 @@ from typing import List
 
 from .bitvec import BitVector
 from .classify import build_family_digraph, build_family_wposet
-from .codes import codeword_masks, extended_hamming
+from .codes import BinaryLinearCode, codeword_masks, extended_hamming
 from .digraph import condense, expand
 from .transfer import map_code_collapse, map_code_expand
 
@@ -29,10 +29,7 @@ _DISPLAY_BASIS = (
 
 def display_codewords() -> List[BitVector]:
     """The 16 codewords of the k=3 code in display row order."""
-    out = [0] * 16
-    for msg in range(1, 16):
-        low = msg & -msg
-        out[msg] = out[msg ^ low] ^ _DISPLAY_BASIS[low.bit_length() - 1]
+    out = codeword_masks(BinaryLinearCode.from_basis(8, _DISPLAY_BASIS))
     if set(out) != set(codeword_masks(extended_hamming(3))):
         raise RuntimeError("display basis does not span the k=3 code")
     return [BitVector(8, m) for m in out]

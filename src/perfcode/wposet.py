@@ -9,7 +9,8 @@ take any object carrying both: a WeightedPoset, a Digraph or a MetricContext.
 Sphere sizes come two ways, cross-checked in the test suite: a fold over
 the closed sets of weight at most r, and a brute-force count over the
 weight table of all 2**n vectors.  The closed-set enumeration also yields
-the census of order ideals that drives the classification.
+the census of order ideals, whose small-ideal counts are the structure
+vector that the classification solves for.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class OmegaCensus:
         return dict(self.counts)
 
     def structure_vector(self) -> Tuple[int, int, int]:
-        """The triple of small-ideal counts that drives the classification."""
+        """The small-ideal counts (s, a, b) of classify.StructureVector."""
         return (self.get(1, 1, 1), self.get(1, 2, 1), self.get(1, 2, 2))
 
 

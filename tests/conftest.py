@@ -78,6 +78,21 @@ def random_poset(rng: random.Random, size: int, density: float = 0.3) -> Poset:
     return Poset.from_relations(size, relations)
 
 
+def covers_by_definition(p):
+    """(j, i) with j below i and nothing strictly between, ascending by i then j."""
+    elements = range(1, p.size + 1)
+    return [(j, i) for i in elements for j in elements
+            if p.strictly_below(j, i)
+            and not any(p.strictly_below(j, k) and p.strictly_below(k, i) for k in elements)]
+
+
+def maximal_by_definition(p, mask):
+    """The members of the mask strictly below no other member."""
+    members = [i for i in range(1, p.size + 1) if mask >> (i - 1) & 1]
+    return sum(1 << (i - 1) for i in members
+               if not any(p.strictly_below(i, j) for j in members))
+
+
 def random_wposet(rng: random.Random, size: int, max_pi: int = 3) -> WeightedPoset:
     poset = random_poset(rng, size)
     return WeightedPoset(poset, tuple(rng.randint(1, max_pi) for _ in range(size)))

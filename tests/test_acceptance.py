@@ -14,6 +14,7 @@ the extended Hamming code, without any perfcode weight table or checker.
 import math
 import random
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -57,43 +58,7 @@ K3_CODEWORDS = {
     "01100110", "01101001", "11110000", "11111111",
 }
 
-EXPANDED_TABLE = """1 2 3 4 4′ 5 6 7 8
-0 0 0 0 0 0 0 0 0
-0 0 0 0 0 1 1 1 1
-1 0 0 1 0 0 1 1 0
-1 0 0 1 0 1 0 0 1
-0 1 0 1 0 1 0 1 0
-0 1 0 1 0 0 1 0 1
-1 1 0 0 0 1 1 0 0
-1 1 0 0 0 0 0 1 1
-0 0 1 1 0 1 1 0 0
-0 0 1 1 0 0 0 1 1
-1 0 1 0 0 1 0 1 0
-1 0 1 0 0 0 1 0 1
-0 1 1 0 0 0 1 1 0
-0 1 1 0 0 1 0 0 1
-1 1 1 1 0 0 0 0 0
-1 1 1 1 0 1 1 1 1
-"""
-
-COLLAPSED_TABLE = """2 3 4 5 6 7 8
-0 0 0 0 0 0 0
-0 0 0 1 1 1 1
-0 0 1 1 1 1 0
-0 0 1 1 0 0 1
-1 0 1 1 0 1 0
-1 0 1 0 1 0 1
-1 0 0 1 1 0 0
-1 0 0 1 0 1 1
-0 1 1 1 1 0 0
-0 1 1 0 0 1 1
-0 1 0 1 0 1 0
-0 1 0 1 1 0 1
-1 1 0 0 1 1 0
-1 1 0 1 0 0 1
-1 1 1 1 0 0 0
-1 1 1 1 1 1 1
-"""
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _closure(mask, below):
@@ -332,7 +297,9 @@ def test_criterion_06_golden_tables(capsys):
     out2 = capsys.readouterr().out
     assert cli.main(["tables", "--which", "4"]) == 0
     out4 = capsys.readouterr().out
-    ok = out2 == EXPANDED_TABLE and out4 == COLLAPSED_TABLE
+    expanded = (GOLDEN / "tables_2.txt").read_text(encoding="utf-8")
+    collapsed = (GOLDEN / "tables_4.txt").read_text(encoding="utf-8")
+    ok = out2 == expanded and out4 == collapsed
     report(6, ok, "expanded and collapsed listings byte-exact")
 
 

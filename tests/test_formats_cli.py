@@ -63,6 +63,9 @@ FORMAT_ERRORS = [
     (formats.parse_digraph, "4\n1 -> 2\n1 -> 1\n", 3, "loop 1 -> 1 not allowed"),
     (formats.parse_digraph, "4\n1 -> 2\n2 -> 9\n", 3, "edge 2 -> 9 out of range 1..4"),
     (formats.parse_code, "8 2\n10010110\n", 1, "expected 2 basis vectors"),
+    (formats.parse_code, "0 0\n", 1, "code length must be in 1..64, got 0"),
+    (formats.parse_code, "-2 0\n", 1, "code length must be in 1..64, got -2"),
+    (formats.parse_code, "\n65 1\n" + "1" * 65 + "\n", 2, "code length must be in 1..64, got 65"),
 ]
 
 
@@ -139,7 +142,7 @@ def test_cli_missing_file_is_usage_error(capsys, tmp_path):
     assert "nope.wposet" in err
 
 
-def test_cli_bad_format_names_path_and_line(capsys, tmp_path):
+def test_cli_bad_format_names_path_and_line(capsys, tmp_path, star_file):
     bad = _write(tmp_path, "bad.wposet", "8\n1 << 5\n")
     code, _, err = run(
         capsys, "check", "--code", "h3", "--structure", bad,
@@ -147,6 +150,13 @@ def test_cli_bad_format_names_path_and_line(capsys, tmp_path):
     )
     assert code == 2
     assert "bad.wposet" in err and "line 2" in err
+    long_code = _write(tmp_path, "long.code", "65 0\n")
+    code, out, err = run(
+        capsys, "check", "--code", long_code, "--structure", star_file,
+        "--kind", "wposet", "--radius", "2",
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {long_code}: line 1: code length must be in 1..64, got 65\n"
 
 
 def test_cli_usage_error(capsys):
@@ -291,21 +301,6 @@ def test_cli_classify_deterministic_across_threads(capsys):
     code2, out2, _ = run(capsys, "classify", "--k", "3", "--kind", "wposet", "--threads", "4")
     assert code1 == code2 == 0
     assert out1 == out2
-
-
-def test_cli_threads_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("PERFCODE_THREADS", "2")
-    code, out, _ = run(capsys, "classify", "--k", "3", "--kind", "digraph")
-    assert code == 0
-    assert "admitting=4" in out
-
-
-def test_cli_bad_threads_env_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("PERFCODE_THREADS", "x")
-    code, out, err = run(capsys, "classify", "--k", "3", "--kind", "digraph")
-    assert code == 2
-    assert out == ""
-    assert err == "error: PERFCODE_THREADS='x' is not an integer\n"
 
 
 @pytest.mark.parametrize("kind, variant", [("wposet", "1"), ("wposet", "2"), ("digraph", None)])

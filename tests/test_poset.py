@@ -10,7 +10,7 @@ from perfcode.poset import (
     maximal_elements,
 )
 
-from conftest import random_poset
+from conftest import covers_by_definition, maximal_by_definition, random_poset
 
 
 def test_closure_trivial_cases():
@@ -123,3 +123,15 @@ def test_closure_is_idempotent_monotone_union_distributive():
             assert ca <= ideal_closure(p, b)
         assert ideal_closure(p, a | b) == ca | ideal_closure(p, b)
         assert a <= ca
+
+
+def test_covers_and_maximal_elements_match_definitions():
+    rng = random.Random(14)
+    for _ in range(40):
+        drawn = random_poset(rng, rng.randint(1, 9), density=rng.choice((0.15, 0.3, 0.6)))
+        labels = rng.sample(range(1, drawn.size + 1), drawn.size)  # not only natural labelings
+        p = Poset.from_relations(drawn.size, [(labels[j - 1], labels[i - 1])
+                                              for j, i in covers_by_definition(drawn)])
+        assert list(p.cover_relations()) == covers_by_definition(p)
+        for mask in range(1 << p.size):
+            assert p.maximal_mask(mask) == maximal_by_definition(p, mask)

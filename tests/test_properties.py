@@ -1,6 +1,8 @@
-"""Property tests of the closure metric on random weighted posets and
-digraphs: the metric axioms, and agreement of the three sphere counts (the
-closed-set fold, the brute-force oracle and the grown ball)."""
+"""Property tests on random weighted posets and digraphs: the metric
+axioms of the closure metric, agreement of the three sphere counts (the
+closed-set fold, the brute-force oracle and the grown ball), the poset's
+covers and maximal elements against their definitions, and weight
+preservation under collapse and expansion."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,23 +10,34 @@ from hypothesis import strategies as st
 from perfcode import codes
 from perfcode.bitvec import BitVector
 from perfcode.codes import MetricContext
-from perfcode.digraph import Digraph
+from perfcode.digraph import Digraph, condense, expand, g_weight
 from perfcode.poset import Poset
-from perfcode.wposet import WeightedPoset, sphere_size_oracle
+from perfcode.transfer import collapse, expand_vec
+from perfcode.wposet import WeightedPoset, sphere_size_oracle, wp_weight
+
+from conftest import covers_by_definition, maximal_by_definition
 
 SETTINGS = settings(max_examples=60, deadline=None, database=None)
 
 
 @st.composite
-def structures(draw):
+def wposets(draw):
     n = draw(st.integers(1, 8))
-    if draw(st.booleans()):
-        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-        relations = [p for p in pairs if draw(st.booleans())]
-        pi = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
-        return WeightedPoset(Poset.from_relations(n, relations), tuple(pi))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    relations = [p for p in pairs if draw(st.booleans())]
+    pi = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    return WeightedPoset(Poset.from_relations(n, relations), tuple(pi))
+
+
+@st.composite
+def digraphs(draw):
+    n = draw(st.integers(1, 8))
     arcs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
     return Digraph.from_edges(n, [a for a in arcs if draw(st.integers(0, 3)) == 0])
+
+
+def structures():
+    return st.one_of(wposets(), digraphs())
 
 
 @SETTINGS
@@ -54,3 +67,30 @@ def test_fold_oracle_and_ball_agree(structure):
     for r in range(ctx.total_weight + 1):
         size = ctx.sphere_size(r)
         assert size == sphere_size_oracle(structure, zero, r) == len(codes._ball(ctx, r))
+
+
+@SETTINGS
+@given(wposets(), st.data())
+def test_covers_and_maximal_elements_match_definitions(wp, data):
+    p = wp.poset
+    assert list(p.cover_relations()) == covers_by_definition(p)
+    for mask in data.draw(st.lists(st.integers(0, (1 << p.size) - 1), max_size=16)):
+        assert p.maximal_mask(mask) == maximal_by_definition(p, mask)
+
+
+@SETTINGS
+@given(digraphs(), st.data())
+def test_collapse_preserves_weight(g, data):
+    wp, bm = condense(g)
+    for x in data.draw(st.lists(st.integers(0, (1 << g.n) - 1), min_size=1, max_size=16)):
+        v = BitVector(g.n, x)
+        assert g_weight(g, v) == wp_weight(wp, collapse(bm, v))
+
+
+@SETTINGS
+@given(wposets(), st.data())
+def test_expansion_preserves_weight(wp, data):
+    g, bm = expand(wp)
+    for u in data.draw(st.lists(st.integers(0, (1 << wp.size) - 1), min_size=1, max_size=16)):
+        v = BitVector(wp.size, u)
+        assert wp_weight(wp, v) == g_weight(g, expand_vec(bm, v))
