@@ -307,9 +307,7 @@ class LabeledStructure:
     labeling: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.structure.generators)
-        if sorted(self.labeling) != list(range(1, n + 1)):
-            raise ValueError(f"labeling {self.labeling} is not a bijection on 1..{n}")
+        _bijection(self.labeling, len(self.structure.generators))
 
     def relabeled(self) -> Structure:
         return relabel(self.structure, self.labeling)
@@ -318,19 +316,24 @@ class LabeledStructure:
         return MetricContext.of(self.relabeled())
 
 
-def relabel(structure: Structure, labeling: Sequence[int]) -> Structure:
-    """Move position p to coordinate labeling[p-1]."""
+def _bijection(labeling: Sequence[int], n: int) -> Tuple[int, ...]:
     lab = tuple(labeling)
+    if sorted(lab) != list(range(1, n + 1)):
+        raise ValueError(f"labeling {lab} is not a bijection on 1..{n}")
+    return lab
+
+
+def relabel(structure: Structure, labeling: Sequence[int]) -> Structure:
+    """Move position p to coordinate labeling[p-1], a bijection on 1..n."""
+    lab = _bijection(labeling, len(structure.generators))
     if isinstance(structure, WeightedPoset):
-        m = structure.size
-        relations = [(lab[j], lab[i]) for i in range(m)
-                     for j in bits(structure.poset.down[i] & ~(1 << i))]
-        pi = [0] * m
-        for i in range(m):
-            pi[lab[i] - 1] = structure.pi[i]
-        return WeightedPoset(Poset.from_relations(m, relations), tuple(pi))
-    edges = [(lab[u - 1], lab[v - 1]) for u, v in structure.edges]
-    return Digraph.from_edges(structure.n, edges)
+        down = [0] * structure.size
+        pi = [0] * structure.size
+        for i, (d, w) in enumerate(zip(structure.poset.down, structure.pi)):
+            down[lab[i] - 1] = sum(1 << (lab[j] - 1) for j in bits(d))
+            pi[lab[i] - 1] = w
+        return WeightedPoset(Poset(structure.size, tuple(down)), tuple(pi))
+    return Digraph.from_edges(structure.n, [(lab[u - 1], lab[v - 1]) for u, v in structure.edges])
 
 
 def search_labelings(structure: Structure, code: BinaryLinearCode, r: int = 2) -> Optional[LabeledStructure]:

@@ -130,8 +130,7 @@ def _cmd_classify(args) -> int:
         for entry in admitting:
             vec = "-".join(str(x) for x in entry.vector.as_tuple())
             dist = "-".join(str(d) for d in entry.distribution)
-            suffix = "wposet" if report.kind == "wposet" else "digraph"
-            path = out / f"{report.kind}_{vec}_{dist}.{suffix}"
+            path = out / f"{report.kind}_{vec}_{dist}.{report.kind}"
             structure = entry.witness.relabeled()
             write = formats.write_wposet if report.kind == "wposet" else formats.write_digraph
             with _writing(path):

@@ -43,6 +43,7 @@ from .wposet import Planes, WeightedPoset, closure_weight, sphere_size_formula, 
 EXHAUSTIVE_LIMIT = 16
 DIMENSION_LIMIT = 16
 HAMMING_K_LIMIT = 5
+BALL_LIMIT = 1 << 20  # masks in the condition route's ball, a few hundred bytes each
 
 
 def _rref(rows: List[int], width: int) -> Tuple[List[int], List[int]]:
@@ -422,11 +423,14 @@ def check_perfect_conditions(code: BinaryLinearCode, ctx: MetricContext, r: int)
     max(w(x), w(y)) >= r + 1.  Together these are equivalent to the code
     being r-perfect.  The partition condition is decided on the radius-r
     ball alone; the earliest failing codeword and its split with the
-    largest smaller part are reported as witness.
+    largest smaller part are reported as witness.  A ball past BALL_LIMIT
+    masks, as the fold counts them, raises instead of being built.
     """
     if code.length != ctx.length:
         raise ValueError(f"code length {code.length} != structure dimension {ctx.length}")
     size = ctx.sphere_size(r)
+    if size > BALL_LIMIT:
+        raise ValueError(f"radius-{r} ball of {size} masks exceeds ball limit {BALL_LIMIT}")
     expected = 1 << (code.length - code.dimension)
     found = _split_witness(code, _ball(ctx, r))
     witness = None

@@ -3,13 +3,15 @@ tying digraphs to weighted posets.
 
 The domination metric is the closure metric of the reach-sets with unit
 weights, so the g_* functions name wposet's one implementation for digraphs.
+The reach-sets come from poset.transitive_closure, which also closes a
+poset's relations.
 
 A digraph induces a weighted poset by collapsing strongly connected
-components (component size becomes the element weight); a weighted poset
-induces a digraph by blowing each element up into a directed cycle of its
-weight.  The two constructions are inverse in one direction only:
-condensing an expansion recovers the weighted poset, while expanding a
-condensation generally loses edges of the original digraph.
+components, the vertices with one reach-set, whose sizes become the
+element weights; the reach-sets already give the quotient order.  A
+weighted poset induces a digraph by blowing each element up into a
+directed cycle of its weight.  Condensing an expansion recovers the
+weighted poset; expanding a condensation generally loses edges.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Iterable, List, Set, Tuple
 import numpy as np
 
 from .bitvec import BitVector, add
-from .poset import Poset, bits, closure_mask
+from .poset import Poset, bits, closure_mask, components, transitive_closure
 from .wposet import (WeightedPoset, closure_weight, sphere_size_formula, sphere_size_oracle,
                      weight_planes, weight_table)
 
@@ -48,16 +50,7 @@ class Digraph:
                 raise ValueError(f"loop {u} -> {v} not allowed")
             seen.add((u, v))
         ordered = tuple(sorted(seen))
-        reach = [1 << i for i in range(n)]
-        changed = True
-        while changed:
-            changed = False
-            for u, v in ordered:
-                merged = reach[u - 1] | reach[v - 1]
-                if merged != reach[u - 1]:
-                    reach[u - 1] = merged
-                    changed = True
-        return cls(n, ordered, tuple(reach))
+        return cls(n, ordered, tuple(transitive_closure(n, ordered)))
 
     @property
     def generators(self) -> Tuple[int, ...]:
@@ -141,37 +134,18 @@ def g_distance(g: Digraph, x: BitVector, y: BitVector) -> int:
 def condense(g: Digraph) -> Tuple[WeightedPoset, BlockMap]:
     """Collapse strongly connected components into a weighted poset.
 
-    Two vertices are identified when each reaches the other; an element sits
-    below another when the latter's component reaches the former's.  Element
-    weights are component sizes.  Quotient coordinates are ordered by the
-    maximum vertex label of each component.
+    Two vertices are identified when they have one reach-set, that is when
+    each reaches the other; the down-set of a component is the set of
+    components its reach-set meets, already transitive.  Element weights are
+    component sizes.  Quotient coordinates are ordered by the maximum vertex
+    label of each component.
     """
-    coreach = [1 << i for i in range(g.n)]
-    for v in range(g.n):
-        for u in bits(g.reach[v] & ~(1 << v)):
-            coreach[u] |= 1 << v
-    comp_masks: List[int] = []
-    assigned = 0
-    for v in range(g.n):
-        if assigned >> v & 1:
-            continue
-        comp = g.reach[v] & coreach[v]
-        comp_masks.append(comp)
-        assigned |= comp
-    comp_masks.sort(key=lambda c: c.bit_length())  # ascending by max vertex label
-    blocks = tuple(
-        tuple(i + 1 for i in range(g.n) if comp >> i & 1) for comp in comp_masks
-    )
-    bm = BlockMap(g.n, len(blocks), blocks)
-    relations = []
-    for a, mask_a in enumerate(comp_masks):
-        ra = closure_mask(g.reach, mask_a)
-        for b, mask_b in enumerate(comp_masks):
-            if a != b and ra & mask_b:
-                relations.append((b + 1, a + 1))
-    poset = Poset.from_relations(len(blocks), relations)
-    pi = tuple(mask.bit_count() for mask in comp_masks)
-    return WeightedPoset(poset, pi), bm
+    comps = sorted(components(g.reach).items(), key=lambda item: item[1].bit_length())
+    blocks = tuple(tuple(v + 1 for v in bits(members)) for _, members in comps)
+    down = tuple(sum(1 << b for b, (_, members) in enumerate(comps) if members & reach)
+                 for reach, _ in comps)
+    pi = tuple(members.bit_count() for _, members in comps)
+    return WeightedPoset(Poset(len(comps), down), pi), BlockMap(g.n, len(comps), blocks)
 
 
 def expand(wp: WeightedPoset) -> Tuple[Digraph, BlockMap]:

@@ -3,13 +3,14 @@
 The strict order is stored transitively closed as one down-set bitmask per
 element, so closing a subset under the order is a union of member masks.
 Input may be given as cover relations; the closure is computed once at
-construction and the instance is immutable afterwards.
+construction, by the transitive closure that digraphs share, and the
+instance is immutable afterwards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 IDEAL_ENUM_LIMIT = 20
 
@@ -20,6 +21,31 @@ def closure_mask(generators: Sequence[int], mask: int) -> int:
     while mask:
         out |= generators[(mask & -mask).bit_length() - 1]
         mask &= mask - 1
+    return out
+
+
+def transitive_closure(n: int, arcs: Sequence[Tuple[int, int]]) -> List[int]:
+    """reach[u-1]: u and every vertex reachable from u along the arcs (u, v)
+    on 1..n, as a mask; a fixpoint of reach[u-1] |= reach[v-1] over the arcs."""
+    reach = [1 << i for i in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for u, v in arcs:
+            merged = reach[u - 1] | reach[v - 1]
+            if merged != reach[u - 1]:
+                reach[u - 1] = merged
+                changed = True
+    return reach
+
+
+def components(generators: Sequence[int]) -> Dict[int, int]:
+    """{generator: mask of the coordinates having it}, in order of each
+    group's least coordinate.  Coordinates share a generator exactly when
+    each lies in the other's closure: these are the strong components."""
+    out: Dict[int, int] = {}
+    for u, g in enumerate(generators):
+        out[g] = out.get(g, 0) | 1 << u
     return out
 
 
@@ -48,29 +74,14 @@ class Poset:
             raise ValueError(f"poset size must be positive, got {size}")
         if size > 64:
             raise ValueError(f"poset size {size} exceeds 64")
-        down = [1 << i for i in range(size)]
-        pairs = []
+        arcs = []
         for j, i in relations:
             if not (1 <= j <= size and 1 <= i <= size):
                 raise ValueError(f"relation {j} < {i} out of range 1..{size}")
             if j == i:
                 raise ValueError(f"reflexive relation {j} < {i}")
-            pairs.append((j - 1, i - 1))
-        for j, i in pairs:
-            down[i] |= 1 << j
-        changed = True
-        while changed:
-            changed = False
-            for i in range(size):
-                acc = down[i]
-                m = acc & ~(1 << i)
-                while m:
-                    j = (m & -m).bit_length() - 1
-                    acc |= down[j]
-                    m &= m - 1
-                if acc != down[i]:
-                    down[i] = acc
-                    changed = True
+            arcs.append((i, j))
+        down = transitive_closure(size, arcs)
         for i in range(size):
             for j in range(i + 1, size):
                 if down[i] >> j & 1 and down[j] >> i & 1:

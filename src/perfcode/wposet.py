@@ -6,11 +6,11 @@ union of its support's generators.  A weighted poset has the down-sets as
 generators, a digraph its reach-sets and unit weights.  The functions below
 take any object carrying both: a WeightedPoset, a Digraph or a MetricContext.
 
-Sphere sizes come two ways, cross-checked in the test suite: a fold over
-the closed sets of weight at most r, and a brute-force count over the
-weight table of all 2**n vectors.  The closed-set enumeration also yields
-the census of order ideals, whose small-ideal counts are the structure
-vector that the classification solves for.
+Sphere sizes come two ways, cross-checked in the test suite: a fold that
+visits each closed set of weight at most r once, as an antichain of
+components, and a brute-force count over the weight table of all 2**n
+vectors.  The fold also yields the census of order ideals, whose
+small-ideal counts are the structure vector the classification solves for.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Dict, Iterator, Sequence, Tuple
 import numpy as np
 
 from .bitvec import BitVector, add
-from .poset import Poset, closure_mask
+from .poset import Poset, closure_mask, components
 
 ORACLE_LIMIT = 16
 
@@ -113,68 +113,53 @@ def wp_distance(wp: WeightedPoset, x: BitVector, y: BitVector) -> int:
     return wp_weight(wp, add(x, y))
 
 
-def _closed_sets(s, max_weight: int) -> Iterator[Tuple[int, int, int]]:
-    """(S, weight, maximal coordinates of S) for every non-empty closed set S
-    of weight at most max_weight.
+def _closed_sets(s, max_weight: int) -> Iterator[Tuple[int, int, int, int]]:
+    """(S, weight, maximal coordinates of S, supports) for every non-empty
+    closed set S of weight at most max_weight, each once.
 
-    A union of closed sets is closed and weight grows with the set, so S is
-    reached by adding one generator at a time within the bound.  Coordinates
-    with equal generators form a component (a strong component, for a
-    digraph); a coordinate of S is maximal unless a generator added to S
-    holds it outside that generator's own component.
+    S is the union of the generators of its maximal components (coordinates
+    with one generator), and every antichain of components gives one, so
+    antichains grow in component order: a component joins when none of its
+    members is in S (else it lies below S) and its generator meets no chosen
+    top (else it lies above one), within the weight bound.  The supports with
+    closure S lie in S and meet each top component C: 2**(|S| - sum |C|)
+    times the product of (2**|C| - 1).
     """
-    generators = s.generators
     planes = weight_planes(s.pi)
-    component: Dict[int, int] = {}
-    for u, g in enumerate(generators):
-        component[g] = component.get(g, 0) | 1 << u
-    seen = {0}
-    frontier = [(0, 0, 0)]
-    while frontier:
-        closed, weight, below = frontier.pop()
-        for g in generators:
-            grown = closed | g
-            if grown in seen:
+    parts = [(members, g, (1 << members.bit_count()) - 1)
+             for g, members in components(s.generators).items()]
+    stack = [(0, 0, 0, 1, 0)]
+    while stack:
+        closed, weight, tops, product, start = stack.pop()
+        for i in range(start, len(parts)):
+            members, g, nonempty = parts[i]
+            if members & closed or g & tops:
                 continue
             grown_weight = weight + pi_sum(planes, g & ~closed)
             if grown_weight > max_weight:
                 continue
-            seen.add(grown)
-            grown_below = below | g & ~component[g]
-            frontier.append((grown, grown_weight, grown_below))
-            yield grown, grown_weight, grown & ~grown_below
+            grown, grown_tops, grown_product = closed | g, tops | members, product * nonempty
+            stack.append((grown, grown_weight, grown_tops, grown_product, i + 1))
+            yield (grown, grown_weight, grown_tops,
+                   grown_product << (grown.bit_count() - grown_tops.bit_count()))
 
 
 def omega_census(wp: WeightedPoset, max_weight: int) -> OmegaCensus:
     """Count every order ideal (closed set) of weight <= max_weight by
     (j, weight, size); the cost follows the number of small ideals."""
     counts: Dict[Tuple[int, int, int], int] = {}
-    for ideal, weight, tops in _closed_sets(wp, max_weight):
+    for ideal, weight, tops, _ in _closed_sets(wp, max_weight):
         key = (tops.bit_count(), weight, ideal.bit_count())
         counts[key] = counts.get(key, 0) + 1
     return OmegaCensus(tuple(sorted(counts.items())), max_weight)
 
 
 def sphere_size_formula(s, r: int) -> int:
-    """Sphere cardinality at radius r (any center), folded over the closed sets.
-
-    A support has closure S exactly when it lies in S and meets each maximal
-    component C of S (one element, for a poset), so S is the closure of
-    2**(|S| - sum |C|) times the product of (2**|C| - 1) supports.
-    """
+    """Sphere cardinality at radius r (any center): the empty support plus
+    the supports of every closed set of weight at most r."""
     if r < 0:
         raise ValueError(f"radius must be non-negative, got {r}")
-    generators = s.generators
-    total = 1
-    for closed, _, tops in _closed_sets(s, r):
-        count = 1 << (closed.bit_count() - tops.bit_count())
-        while tops:
-            v = (tops & -tops).bit_length() - 1
-            component = generators[v] & tops
-            count *= (1 << component.bit_count()) - 1
-            tops &= ~component
-        total += count
-    return total
+    return 1 + sum(supports for *_, supports in _closed_sets(s, r))
 
 
 def weight_table(s) -> np.ndarray:

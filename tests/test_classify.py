@@ -264,6 +264,20 @@ def test_relabel_transports_weights():
     assert canonical_form(moved) == canonical_form(s)
 
 
+@pytest.mark.parametrize("structure, labeling", [
+    (Digraph.from_edges(4, [(1, 2), (1, 3), (4, 2)]), (1, 3, 3, 4)),
+    (Digraph.from_edges(4, [(1, 2), (1, 3), (4, 2)]), (1, 2, 3, 4, 5)),
+    (Digraph.from_edges(4, [(1, 2), (1, 3), (4, 2)]), (1, 2, 3)),
+    (wposet_from(3, [(1, 2), (2, 3)]), (1, 1, 3)),
+    (wposet_from(3, [(1, 2), (2, 3)]), (0, 1, 2)),
+])
+def test_relabel_rejects_labelings_that_are_not_bijections(structure, labeling):
+    n = len(structure.generators)
+    with pytest.raises(ValueError) as exc:
+        relabel(structure, labeling)
+    assert str(exc.value) == f"labeling {labeling} is not a bijection on 1..{n}"
+
+
 def test_search_finds_documented_witness(anchor_star_wposet):
     code = extended_hamming(3)
     rep = build_wposet_structure(StructureVector(3, 1, 4), (4, 0, 0))

@@ -377,3 +377,14 @@ def test_conditions_decide_h5_relabelings():
         assert perfect == (ctx.sphere_size(2) == 64 and check_weight4_partitions(h5, ctx))
         verdicts.add(perfect)
     assert verdicts == {True, False}
+
+
+def test_conditions_refuse_a_ball_past_the_limit(monkeypatch):
+    code = extended_hamming(3)
+    ctx = MetricContext.of(WeightedPoset.uniform(Poset.antichain(8)))
+    monkeypatch.setattr(codes, "BALL_LIMIT", 36)
+    assert check_perfect_conditions(code, ctx, 1).sphere_size == 9
+    with pytest.raises(ValueError, match="radius-2 ball of 37 masks exceeds ball limit 36"):
+        check_perfect_conditions(code, ctx, 2)
+    monkeypatch.setattr(codes, "BALL_LIMIT", 37)
+    assert check_perfect_conditions(code, ctx, 2).sphere_size == 37

@@ -2,13 +2,13 @@ from pathlib import Path
 
 import pytest
 
-from perfcode import cli, formats
+from perfcode import cli, codes, formats
 from perfcode.codes import codeword_masks, extended_hamming
 from perfcode.digraph import Digraph
 from perfcode.poset import Poset
 from perfcode.wposet import WeightedPoset
 
-# Full `classify --k 3` and `family` stdout, byte for byte.
+# Full `classify --k 3`, `family`, `induce` and `expand` stdout, byte for byte.
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -278,6 +278,28 @@ FAMILY_KINDS = {
 def test_cli_family_matches_golden_stdout(capsys, k, name):
     golden = (GOLDEN / f"family_k{k}_{name}.txt").read_text(encoding="utf-8")
     assert run(capsys, "family", "--k", str(k), *FAMILY_KINDS[name]) == (0, golden, "")
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_cli_induce_and_expand_of_family_files_match_golden_stdout(capsys, tmp_path, k):
+    prefix = tmp_path / f"fam{k}"
+    for name, argv in FAMILY_KINDS.items():
+        assert run(capsys, "family", "--k", str(k), *argv, "--out", f"{prefix}_{name}")[0] == 0
+    golden = (GOLDEN / f"induce_k{k}.txt").read_text(encoding="utf-8")
+    assert run(capsys, "induce", "--digraph", f"{prefix}_digraph.digraph") == (0, golden, "")
+    for v in (1, 2):
+        golden = (GOLDEN / f"expand_k{k}_v{v}.txt").read_text(encoding="utf-8")
+        assert run(capsys, "expand", "--wposet", f"{prefix}_wposet_v{v}.wposet") == (0, golden, "")
+
+
+def test_cli_check_conditions_past_the_ball_limit_is_usage_error(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "antichain.wposet"
+    path.write_text(formats.write_wposet(WeightedPoset.uniform(Poset.antichain(8))), encoding="utf-8")
+    monkeypatch.setattr(codes, "BALL_LIMIT", 36)
+    code, out, err = run(capsys, "check", "--code", "h3", "--structure", str(path),
+                         "--kind", "wposet", "--radius", "2", "--method", "conditions")
+    assert (code, out) == (2, "")
+    assert err == "error: radius-2 ball of 37 masks exceeds ball limit 36\n"
 
 
 def test_cli_classify_witness_dir_that_is_a_file_is_usage_error(capsys, tmp_path):

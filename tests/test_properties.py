@@ -1,7 +1,8 @@
 """Property tests on random weighted posets and digraphs: the metric
 axioms of the closure metric, agreement of the three sphere counts (the
 closed-set fold, the brute-force oracle and the grown ball), the poset's
-covers and maximal elements against their definitions, and weight
+covers and maximal elements against their definitions, relabeling and
+condensation against rebuilds from their definitions, and weight
 preservation under collapse and expansion."""
 
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from perfcode import codes
 from perfcode.bitvec import BitVector
+from perfcode.classify import relabel
 from perfcode.codes import MetricContext
 from perfcode.digraph import Digraph, condense, expand, g_weight
 from perfcode.poset import Poset
@@ -94,3 +96,52 @@ def test_expansion_preserves_weight(wp, data):
     for u in data.draw(st.lists(st.integers(0, (1 << wp.size) - 1), min_size=1, max_size=16)):
         v = BitVector(wp.size, u)
         assert wp_weight(wp, v) == g_weight(g, expand_vec(bm, v))
+
+
+@SETTINGS
+@given(wposets(), st.data())
+def test_relabel_matches_rebuild_from_relations(wp, data):
+    n = wp.size
+    lab = data.draw(st.permutations(range(1, n + 1)))
+    p = wp.poset
+    relations = [(lab[j - 1], lab[i - 1]) for i in range(1, n + 1) for j in range(1, n + 1)
+                 if p.strictly_below(j, i)]
+    pi = [0] * n
+    for i in range(n):
+        pi[lab[i] - 1] = wp.pi[i]
+    assert relabel(wp, lab) == WeightedPoset(Poset.from_relations(n, relations), tuple(pi))
+
+
+def _reachable(g):
+    """Vertices reachable from each vertex, itself included, by search over the edges."""
+    out = {v: set() for v in range(1, g.n + 1)}
+    for v, seen in out.items():
+        todo = [v]
+        while todo:
+            u = todo.pop()
+            if u not in seen:
+                seen.add(u)
+                todo += [b for a, b in g.edges if a == u]
+    return out
+
+
+@SETTINGS
+@given(digraphs())
+def test_condense_blocks_are_mutual_reachability_classes(g):
+    reach = _reachable(g)
+    classes = {tuple(sorted(u for u in reach[v] if v in reach[u])) for v in reach}
+    wp, bm = condense(g)
+    assert sorted(bm.blocks) == sorted(classes)
+    assert [max(b) for b in bm.blocks] == sorted(max(c) for c in classes)
+    assert wp.pi == tuple(len(b) for b in bm.blocks)
+
+
+@SETTINGS
+@given(digraphs())
+def test_condense_order_is_reach_between_blocks(g):
+    reach = _reachable(g)
+    wp, bm = condense(g)
+    for a, upper in enumerate(bm.blocks, start=1):
+        for b, lower in enumerate(bm.blocks, start=1):
+            reaches = any(v in reach[u] for u in upper for v in lower)
+            assert wp.poset.strictly_below(b, a) == (a != b and reaches)

@@ -3,9 +3,11 @@ import random
 import pytest
 
 from perfcode.bitvec import BitVector, add, hamming_weight
-from perfcode.poset import Poset
+from perfcode.digraph import expand
+from perfcode.poset import Poset, closure_mask
 from perfcode.wposet import (
     WeightedPoset,
+    _closed_sets,
     omega_census,
     sphere_size_formula,
     sphere_size_oracle,
@@ -14,7 +16,7 @@ from perfcode.wposet import (
     wp_weight,
 )
 
-from conftest import random_wposet
+from conftest import random_digraph, random_poset, random_wposet
 
 
 def e(length, *coords):
@@ -165,3 +167,41 @@ def test_weight_table_agrees_with_weight():
 def test_negative_radius_rejected(anchor_star_wposet):
     with pytest.raises(ValueError):
         sphere_size_formula(anchor_star_wposet, -1)
+
+
+def _closed_sets_by_brute_force(s):
+    """{S: (weight, maximal coordinates, supports)} over every non-empty
+    closed set S, from the closures of all 2**n masks."""
+    gens, n = s.generators, len(s.generators)
+    supports = {}
+    for mask in range(1, 1 << n):
+        closed = closure_mask(gens, mask)
+        supports[closed] = supports.get(closed, 0) + 1
+    out = {}
+    for closed, count in supports.items():
+        members = [u for u in range(n) if closed >> u & 1]
+        weight = sum(s.pi[u] for u in members)
+        # u is maximal unless some member's closure holds u but not the reverse
+        tops = sum(1 << u for u in members
+                   if not any(gens[v] >> u & 1 and not gens[u] >> v & 1 for v in members))
+        out[closed] = (weight, tops, count)
+    return out
+
+
+def test_closed_sets_match_brute_force_at_every_radius():
+    rng = random.Random(17)
+    structures = []
+    for n in [1, 2, 3] + [rng.randint(4, 12) for _ in range(12)] + [12]:
+        density = rng.choice((0.03, 0.08, 0.15, 0.3))
+        pi = tuple(rng.randint(1, 3) for _ in range(n))
+        wp = WeightedPoset(random_poset(rng, n, density), pi)
+        structures += [wp, random_digraph(rng, n, density)]
+        if sum(pi) <= 12:  # strong components of up to three vertices
+            structures.append(expand(wp)[0])
+    for s in structures:
+        expected = _closed_sets_by_brute_force(s)
+        for r in range(sum(s.pi) + 1):
+            got = [(closed, (weight, tops, count))
+                   for closed, weight, tops, count in _closed_sets(s, r)]
+            assert len(got) == len(dict(got))
+            assert dict(got) == {c: v for c, v in expected.items() if v[0] <= r}
