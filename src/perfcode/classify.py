@@ -4,9 +4,10 @@ Hamming code, plus the general-k family constructors.
 Pipeline: solve the structure-vector equations, enumerate one representative
 per isomorphism class of structures realizing each vector, then decide every
 coordinate labeling of each representative in one numpy sweep and keep the
-least admitting one as the witness.  Negative answers report the number of
-labelings up to structure automorphism, n!/|Aut|, so the exhaustion is
-auditable.
+least admitting one as the witness.  The sweep reads a labeling table and
+codeword landing masks built once per code.  Negative answers report the
+number of labelings up to structure automorphism, n!/|Aut|, so the
+exhaustion is auditable.
 
 The family constructors put their eight special coordinates at the closed
 form `GREEK_COORDINATES` and check every structure they build by the
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -336,6 +337,42 @@ def relabel(structure: Structure, labeling: Sequence[int]) -> Structure:
     return Digraph.from_edges(structure.n, [(lab[u - 1], lab[v - 1]) for u, v in structure.edges])
 
 
+def _lex_permutations(n: int) -> np.ndarray:
+    """Every permutation of range(n) as a uint8 row, in lexicographic order.
+
+    The permutations of range(m) starting with f are f followed by those of
+    range(m - 1) with the values at or above f shifted up by one, a monotone
+    map, so each block stays in order.
+    """
+    table = np.zeros((1, 0), dtype=np.uint8)
+    for m in range(1, n + 1):
+        first = np.repeat(np.arange(m, dtype=np.uint8), len(table))[:, None]
+        rest = np.tile(table, (m, 1))
+        rest += rest >= first
+        table = np.hstack([first, rest])
+    return table
+
+
+@lru_cache(maxsize=4)
+def _labeling_landings(code: BinaryLinearCode) -> Tuple[np.ndarray, np.ndarray]:
+    """The lexicographic labeling table of the code's length, and for each
+    non-zero codeword c and labeling row the mask of the positions that carry
+    a coordinate of c, both read-only.
+
+    The landing masks depend on the codewords, so the cache is keyed by code;
+    `search_labelings` guards the length at 8, so masks fit in uint8.
+    """
+    labelings = _lex_permutations(code.length)
+    position_bits = (1 << np.arange(code.length)).astype(np.uint8)
+    words = codeword_masks(code)[1:]
+    landing = np.empty((len(words), len(labelings)), dtype=np.uint8)
+    for i, cw in enumerate(words):
+        landing[i] = ((np.uint8(cw) >> labelings) & 1) @ position_bits
+    labelings.flags.writeable = False
+    landing.flags.writeable = False
+    return labelings, landing
+
+
 def search_labelings(structure: Structure, code: BinaryLinearCode, r: int = 2) -> Optional[LabeledStructure]:
     """Least labeling, in lexicographic order, that makes the code r-perfect
     on the structure, or None when no labeling does.
@@ -343,10 +380,12 @@ def search_labelings(structure: Structure, code: BinaryLinearCode, r: int = 2) -
     All n! labelings are decided at once.  Once the sphere size is
     2**(n - dim), the code is r-perfect exactly when the codeword spheres are
     disjoint, that is when no non-zero codeword is x ^ y with x and y in the
-    ball B_r; this holds for every code and every radius.  Row i of
-    `labelings` holds the coordinate of each position, so a codeword lands on
-    the mask of the positions carrying its coordinates, which is looked up in
-    the table of B_r ^ B_r.
+    ball B_r; this holds for every code and every radius.  Row i of the
+    labeling table holds the coordinate of each position, so under it a
+    codeword lands on the mask of the positions carrying its coordinates,
+    which is looked up in the table of B_r ^ B_r.  The table and the landing
+    masks depend only on the code, so they are built once per code and each
+    structure costs one lookup.
 
     The least admitting labeling puts ascending coordinates on each cell of
     pairwise twins: swapping two twin positions composes the labeling with an
@@ -365,13 +404,8 @@ def search_labelings(structure: Structure, code: BinaryLinearCode, r: int = 2) -
     ball = np.flatnonzero(ctx.weights() <= r)
     meets = np.zeros(1 << n, dtype=bool)
     meets[ball[:, None] ^ ball[None, :]] = True
-    # n <= 8, so coordinates and position masks fit in uint8
-    labelings = np.fromiter(permutations(range(n)), dtype=(np.uint8, n), count=math.factorial(n))
-    position_bits = (1 << np.arange(n)).astype(np.uint8)
-    admits = np.ones(len(labelings), dtype=bool)
-    for cw in codeword_masks(code)[1:]:
-        carries = (np.uint8(cw) >> labelings) & 1  # does position p carry a coordinate of cw
-        admits &= ~meets[carries @ position_bits]
+    labelings, landing = _labeling_landings(code)
+    admits = ~meets[landing].any(axis=0)
     first = int(admits.argmax())
     if not admits[first]:
         return None

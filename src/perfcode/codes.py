@@ -38,7 +38,15 @@ import numpy as np
 
 from .bitvec import BitVector
 from .digraph import Digraph
-from .wposet import Planes, WeightedPoset, closure_weight, sphere_size_formula, weight_planes, weight_table
+from .wposet import (
+    Planes,
+    WeightedPoset,
+    closed_sets,
+    closure_weight,
+    sphere_size_formula,
+    weight_planes,
+    weight_table,
+)
 
 EXHAUSTIVE_LIMIT = 16
 DIMENSION_LIMIT = 16
@@ -424,13 +432,18 @@ def check_perfect_conditions(code: BinaryLinearCode, ctx: MetricContext, r: int)
     being r-perfect.  The partition condition is decided on the radius-r
     ball alone; the earliest failing codeword and its split with the
     largest smaller part are reported as witness.  A ball past BALL_LIMIT
-    masks, as the fold counts them, raises instead of being built.
+    masks raises instead of being built, as soon as the fold's running count
+    passes the limit, so a refusal costs about BALL_LIMIT closed sets.
     """
     if code.length != ctx.length:
         raise ValueError(f"code length {code.length} != structure dimension {ctx.length}")
-    size = ctx.sphere_size(r)
-    if size > BALL_LIMIT:
-        raise ValueError(f"radius-{r} ball of {size} masks exceeds ball limit {BALL_LIMIT}")
+    if r < 0:
+        raise ValueError(f"radius must be non-negative, got {r}")
+    size = 1  # the empty support, then the supports of each closed set
+    for *_, supports in closed_sets(ctx, r):
+        size += supports
+        if size > BALL_LIMIT:
+            raise ValueError(f"radius-{r} ball of {size} masks exceeds ball limit {BALL_LIMIT}")
     expected = 1 << (code.length - code.dimension)
     found = _split_witness(code, _ball(ctx, r))
     witness = None

@@ -113,7 +113,7 @@ def wp_distance(wp: WeightedPoset, x: BitVector, y: BitVector) -> int:
     return wp_weight(wp, add(x, y))
 
 
-def _closed_sets(s, max_weight: int) -> Iterator[Tuple[int, int, int, int]]:
+def closed_sets(s, max_weight: int) -> Iterator[Tuple[int, int, int, int]]:
     """(S, weight, maximal coordinates of S, supports) for every non-empty
     closed set S of weight at most max_weight, each once.
 
@@ -148,7 +148,7 @@ def omega_census(wp: WeightedPoset, max_weight: int) -> OmegaCensus:
     """Count every order ideal (closed set) of weight <= max_weight by
     (j, weight, size); the cost follows the number of small ideals."""
     counts: Dict[Tuple[int, int, int], int] = {}
-    for ideal, weight, tops, _ in _closed_sets(wp, max_weight):
+    for ideal, weight, tops, _ in closed_sets(wp, max_weight):
         key = (tops.bit_count(), weight, ideal.bit_count())
         counts[key] = counts.get(key, 0) + 1
     return OmegaCensus(tuple(sorted(counts.items())), max_weight)
@@ -159,7 +159,7 @@ def sphere_size_formula(s, r: int) -> int:
     the supports of every closed set of weight at most r."""
     if r < 0:
         raise ValueError(f"radius must be non-negative, got {r}")
-    return 1 + sum(supports for *_, supports in _closed_sets(s, r))
+    return 1 + sum(supports for *_, supports in closed_sets(s, r))
 
 
 def weight_table(s) -> np.ndarray:

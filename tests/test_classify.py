@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,8 @@ from perfcode.classify import (
     GREEK_COORDINATES,
     LabeledStructure,
     StructureVector,
+    _labeling_landings,
+    _lex_permutations,
     _verify_family,
     automorphism_count,
     build_digraph_structure,
@@ -438,6 +444,30 @@ def test_search_size_guard():
         search_labelings(big, extended_hamming(4))
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lex_permutations_match_itertools(n):
+    table = _lex_permutations(n)
+    assert table.dtype == np.uint8
+    assert np.array_equal(table, np.fromiter(permutations(range(n)), dtype=(np.uint8, n)))
+
+
+def test_labeling_table_is_not_built_at_import():
+    src = str(Path(sys.modules["perfcode"].__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import perfcode.cli; from perfcode.classify import _labeling_landings; "
+             "print(_labeling_landings.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
+
+
+def test_labeling_tables_are_read_only():
+    labelings, landing = _labeling_landings(extended_hamming(3))
+    assert landing.shape == (15, 40320) and landing.dtype == np.uint8
+    for table in (labelings, landing):
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+
+
 def test_labeled_structure_validates_bijection():
     s = build_wposet_structure(StructureVector(3, 1, 4), (4, 0, 0))
     with pytest.raises(ValueError):
@@ -591,3 +621,29 @@ def test_search_on_permuted_h3(k3_reports):
             if found is not None:
                 assert is_r_perfect(code, found.context(), 2)
                 assert found.labeling == tuple(int(c) + 1 for c in LABELINGS[admits.argmax()])
+
+
+def test_labeling_cache_is_keyed_by_code():
+    """h3, a permuted h3 of the same length, then h3 again, in one process:
+    each search must use the landing masks of its own code."""
+    h3 = extended_hamming(3)
+    perm = [3, 6, 0, 7, 2, 5, 1, 4]
+
+    def move(mask):
+        return sum((mask >> c & 1) << perm[c] for c in range(8))
+
+    moved = BinaryLinearCode.from_basis(8, [move(b) for b in h3.basis])
+    assert set(codeword_masks(moved)) != set(H3_WORDS)  # not an automorphism of h3
+    structures = [s for kind in ("wposet", "digraph") for v in solve_structure_vectors(3, kind)
+                  for s in enumerate_structures(v, kind)]
+    assert len(structures) == 18
+    audits = {h3: [_audit(s) for s in structures],
+              moved: [_audit(s, tuple(move(w) for w in H3_WORDS)) for s in structures]}
+    _labeling_landings.cache_clear()
+    for code in (h3, moved, h3):
+        for structure, admits in zip(structures, audits[code]):
+            found = search_labelings(structure, code)
+            assert (found is not None) == admits.any()
+            if found is not None:
+                assert found.labeling == tuple(int(c) + 1 for c in LABELINGS[admits.argmax()])
+    assert _labeling_landings.cache_info().currsize == 2

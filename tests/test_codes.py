@@ -388,3 +388,24 @@ def test_conditions_refuse_a_ball_past_the_limit(monkeypatch):
         check_perfect_conditions(code, ctx, 2)
     monkeypatch.setattr(codes, "BALL_LIMIT", 37)
     assert check_perfect_conditions(code, ctx, 2).sphere_size == 37
+
+
+def test_conditions_stop_the_fold_at_the_ball_limit(monkeypatch):
+    """A refusal costs about BALL_LIMIT closed sets, not the whole sphere: on
+    a 30-element antichain the radius-7 sphere has 2804012 masks."""
+    code = BinaryLinearCode.from_basis(30, [0b11 << i for i in range(0, 28, 2)])
+    ctx = MetricContext.of(WeightedPoset.uniform(Poset.antichain(30)))
+    fold = codes.closed_sets
+    yielded = 0
+
+    def counted(*args):
+        nonlocal yielded
+        for item in fold(*args):
+            yielded += 1
+            yield item
+
+    monkeypatch.setattr(codes, "closed_sets", counted)
+    monkeypatch.setattr(codes, "BALL_LIMIT", 1000)
+    with pytest.raises(ValueError, match="radius-7 ball of 1001 masks exceeds ball limit 1000"):
+        check_perfect_conditions(code, ctx, 7)
+    assert yielded == 1000  # each subset of an antichain is one support

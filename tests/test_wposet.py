@@ -7,7 +7,7 @@ from perfcode.digraph import expand
 from perfcode.poset import Poset, closure_mask
 from perfcode.wposet import (
     WeightedPoset,
-    _closed_sets,
+    closed_sets,
     omega_census,
     sphere_size_formula,
     sphere_size_oracle,
@@ -202,6 +202,6 @@ def test_closed_sets_match_brute_force_at_every_radius():
         expected = _closed_sets_by_brute_force(s)
         for r in range(sum(s.pi) + 1):
             got = [(closed, (weight, tops, count))
-                   for closed, weight, tops, count in _closed_sets(s, r)]
+                   for closed, weight, tops, count in closed_sets(s, r)]
             assert len(got) == len(dict(got))
             assert dict(got) == {c: v for c, v in expected.items() if v[0] <= r}
